@@ -2,12 +2,10 @@
 
 Times a fixed set of experiments end-to-end (quick scale, cache off) —
 including the quick scale experiment re-run over 4 cluster shards, a
-spread-arrival sharded pair timed under both sync protocols
-(``scale_conservative4`` / ``scale_optimistic4``, gated against each
-other: optimistic must never bench slower than conservative), and the
-same spread cell at 8 shards under hierarchical sync
-(``scale_hier8``: relay tree + digest replies + pipelined
-coordinator, riding the baseline ratio gate) —
+spread-arrival cell over 4 shard worker processes (``scale_hier4``:
+the worker protocol over a flat star), and the same spread cell at 8
+shards (``scale_hier8``: relay tree + digest replies + pipelined
+coordinator), all riding the baseline ratio gate —
 measures raw event-engine throughput with three synthetic storms (a
 dispatch-heavy mix, a timer-dense churn shape also run against the
 retained heap scheduler, and an idle-daemon tick storm run with and
@@ -47,7 +45,7 @@ heavy cluster cell (48 hosts, 2000 startups) timed single-process and at
 It needs the cores to show a speedup, so it is reported, not gated.
 
 ``--optimistic-smoke`` runs a 100,000-host spread-arrival cell to
-completion under hierarchical sync (optimistic workers behind the
+completion under hierarchical sync (speculating workers behind the
 pipelined digest-reply coordinator) and records its wall-clock,
 rollback counters, speculation commit rate,
 replayed-events-per-rollback, and the coordinator occupancy figures
@@ -91,9 +89,9 @@ GATE_SHARDS = 4
 #: builds a two-level relay tree (2 relays x 4 workers).
 HIER_SHARDS = 8
 
-#: Arrival rate for the sync-protocol timings: spread arrivals drive
-#: the epoch protocol (a burst places everything in epoch 0 and never
-#: exercises the barriers the sync modes differ on).
+#: Arrival rate for the spread-cell timings: spread arrivals drive the
+#: epoch protocol (a burst places everything in epoch 0 and never
+#: exercises the barriers).
 GATE_RATE = 150.0
 
 
@@ -308,37 +306,28 @@ def measure(experiment_ids, jobs=None, repeats=2):
     overhead = timings[label] / timings[f"scale_shards{GATE_SHARDS}"] - 1.0
     print(f"{label:14s} {timings[label]:8.3f} s  "
           f"(probe overhead {overhead * 100:+5.1f}%)")
-    # The sync-protocol pair: the same spread-arrival sharded quick
-    # scale run under both barrier protocols.  Each rides the baseline
-    # ratio gate, and --check additionally asserts optimistic never
-    # benches slower than conservative (see check()).
-    for mode in ("conservative", "optimistic"):
-        label = f"scale_{mode}{GATE_SHARDS}"
+    # The worker protocol on a spread-arrival cell: over a flat star of
+    # GATE_SHARDS workers, then at HIER_SHARDS through the full
+    # relay-tree / digest-reply / pipelined path.  Both ride the
+    # baseline ratio gate, so a regression in speculation, relay
+    # fan-out or pipelining overhead fails CI even on single-core
+    # runners.
+    for shards in (GATE_SHARDS, HIER_SHARDS):
+        label = f"scale_hier{shards}"
         timings[label] = _timed_run(
-            lambda mode=mode: get_experiment("scale").configure(
-                shards=GATE_SHARDS, rate=GATE_RATE, sync=mode,
+            lambda shards=shards: get_experiment("scale").configure(
+                shards=shards, rate=GATE_RATE, sync="hierarchical",
             ),
             jobs, repeats,
         )
         print(f"{label:14s} {timings[label]:8.3f} s")
-    # The hierarchical coordinator at 8 shards: the same spread cell
-    # through the full relay-tree / digest-reply / pipelined path.  It
-    # rides the baseline ratio gate, so a regression in relay fan-out
-    # or pipelining overhead fails CI even on single-core runners.
-    label = f"scale_hier{HIER_SHARDS}"
-    timings[label] = _timed_run(
-        lambda: get_experiment("scale").configure(
-            shards=HIER_SHARDS, rate=GATE_RATE, sync="hierarchical",
-        ),
-        jobs, repeats,
-    )
-    print(f"{label:14s} {timings[label]:8.3f} s")
     return timings
 
 
 def measure_optimistic_stats(preset="fastiov", concurrency=40, hosts=4,
                              rate=12.0, shards=2, seed=2):
-    """Rollback/speculation counters of one spread optimistic cell.
+    """Rollback/speculation counters of one spread cell under the
+    worker protocol.
 
     Runs in-process (workers=0), where speculation is eager and the
     counters are deterministic — so the BENCH numbers trend cleanly
@@ -356,7 +345,7 @@ def measure_optimistic_stats(preset="fastiov", concurrency=40, hosts=4,
     run_sharded_cluster(
         preset, concurrency, hosts=hosts, seed=seed, shards=shards,
         workers=0, arrivals=cluster_arrivals(seed, rate),
-        sync="optimistic", engine_stats=stats,
+        sync="hierarchical", engine_stats=stats,
     )
     counters = {
         key: stats[f"sync_{key}"]
@@ -374,7 +363,7 @@ def measure_optimistic_smoke(hosts=100000, concurrency=5000, rate=500.0,
                              shards=4, seed=0, sync="hierarchical",
                              ceiling_s=None, live=False):
     """Completion smoke: a 100k-host-and-up cell under the speculative
-    protocol (hierarchical by default: optimistic workers behind the
+    protocol (hierarchical by default: speculating workers behind the
     pipelined digest-reply coordinator — the configuration that has to
     carry the 1M-host target).
 
@@ -488,7 +477,7 @@ def measure_checkpoint_rollback(concurrency=200, hosts=4, rate=20.0,
         stats = {}
         summary = run_sharded_cluster(
             "fastiov", concurrency, hosts=hosts, seed=seed, shards=shards,
-            arrivals=cluster_arrivals(seed, rate), sync="optimistic",
+            arrivals=cluster_arrivals(seed, rate), sync="hierarchical",
             eager_speculation=True, checkpoint_every=interval,
             worker_context="fork", engine_stats=stats,
         )
@@ -570,14 +559,12 @@ REQUIRED_BASELINE_KEYS = (
     "checkpoint_rollback",
 )
 
-#: Timings the baseline's ``timings`` map must itself contain.  The
-#: sync-protocol pair joined the schema with the optimistic runner; a
-#: baseline predating it would silently skip exactly those gates.
+#: Timings the baseline's ``timings`` map must itself contain; a
+#: baseline predating one would silently skip exactly that gate.
 REQUIRED_BASELINE_TIMINGS = (
     "scale",
     f"scale_shards{GATE_SHARDS}",
-    f"scale_conservative{GATE_SHARDS}",
-    f"scale_optimistic{GATE_SHARDS}",
+    f"scale_hier{GATE_SHARDS}",
     f"scale_hier{HIER_SHARDS}",
     f"scale_probes{GATE_SHARDS}",
 )
@@ -588,13 +575,8 @@ def check(timings, engine_rates, threshold):
 
     ``engine_rates`` maps baseline key -> measured events/sec; each is
     gated the same way: a drop of more than ``threshold`` fails.
-    Beyond the baseline ratios, the sync-protocol pair is gated against
-    *each other*: optimistic slower than conservative by more than the
-    threshold fails, because the adaptive throttle exists precisely to
-    bound optimistic's downside at conservative-plus-noise.  (On
-    multi-core runners optimistic should win outright — speculation
-    overlaps the barrier wait; a single-core runner has no idle cycles
-    to hide speculation in, so parity is the honest expectation.)
+    Beyond the baseline ratios, the probes-on timing is gated against
+    its probes-off twin.
 
     A missing or schema-stale baseline is itself a failure — a gate
     that silently skips is indistinguishable from a gate that passed.
@@ -646,21 +628,6 @@ def check(timings, engine_rates, threshold):
         print(
             f"{key:8s} baseline {base_eps:9,.0f} ev/s  "
             f"now {events_per_sec:9,.0f} ev/s ({ratio * 100:5.1f}%)  {status}"
-        )
-    conservative = timings.get(f"scale_conservative{GATE_SHARDS}")
-    optimistic = timings.get(f"scale_optimistic{GATE_SHARDS}")
-    if conservative and optimistic:
-        ratio = optimistic / conservative
-        status = "ok"
-        if ratio > 1.0 + threshold:
-            status = "REGRESSION"
-            failures.append(
-                ("optimistic-vs-conservative", conservative, optimistic,
-                 ratio)
-            )
-        print(
-            f"{'sync-gate':8s} conservative {conservative:7.3f} s  "
-            f"optimistic {optimistic:7.3f} s ({ratio * 100:5.1f}%)  {status}"
         )
     # Probes-on vs probes-off twin: the telemetry plane's per-run cost,
     # gated so probe instrumentation creep fails CI even when the

@@ -24,6 +24,7 @@ simulator change invalidates stale entries automatically.
 import argparse
 import sys
 
+from repro.cluster.sharded import SYNC_MODES
 from repro.core import PRESETS, build_host
 from repro.experiments import get_experiment, list_experiments
 
@@ -48,8 +49,8 @@ def shard_count(value):
 def checkpoint_interval(value):
     """argparse type for ``--checkpoint-every``: epochs >= 0.
 
-    0 disables fork checkpoints (optimistic rollback then falls back
-    to full replay from t=0); omitting the flag keeps the adaptive
+    0 disables fork checkpoints (worker rollback then falls back to
+    full replay from t=0); omitting the flag keeps the adaptive
     cadence tied to the speculation window.
     """
     count = int(value)
@@ -374,13 +375,13 @@ def main(argv=None):
     )
     run_p.add_argument(
         "--sync",
-        choices=("conservative", "optimistic", "hierarchical", "auto"),
+        choices=SYNC_MODES,
         default=None,
-        help="sharded barrier protocol: conservative lockstep epochs "
-             "(default), optimistic speculation with rollback-by-replay, "
-             "hierarchical (optimistic workers under a relay tree with "
-             "a pipelined coordinator), or auto; results are "
-             "byte-identical across modes — this only moves wall-clock",
+        help="sharded protocol: hierarchical (default; speculating "
+             "worker processes under a relay tree with a pipelined "
+             "coordinator) or conservative (the in-process lockstep "
+             "reference; runs the shards serially); results are "
+             "byte-identical across modes",
     )
     run_p.add_argument(
         "--rate", type=float, default=None, metavar="PER_S",
@@ -391,7 +392,7 @@ def main(argv=None):
     run_p.add_argument(
         "--checkpoint-every", type=checkpoint_interval, default=None,
         metavar="EPOCHS",
-        help="fork-checkpoint cadence for optimistic shard workers "
+        help="fork-checkpoint cadence for shard worker processes "
              "(default: adaptive, tied to the speculation window; 0 "
              "disables and rollback replays from t=0); wall-clock "
              "only — results are byte-identical",
@@ -424,7 +425,7 @@ def main(argv=None):
     )
     trace_p.add_argument(
         "--sync",
-        choices=("conservative", "optimistic", "hierarchical", "auto"),
+        choices=SYNC_MODES,
         default=None,
         help="sharded barrier protocol for cluster cells; traces are "
              "byte-identical across modes (protocol counters ride the "
@@ -439,7 +440,7 @@ def main(argv=None):
     trace_p.add_argument(
         "--checkpoint-every", type=checkpoint_interval, default=None,
         metavar="EPOCHS",
-        help="fork-checkpoint cadence for optimistic shard workers; "
+        help="fork-checkpoint cadence for shard worker processes; "
              "checkpoint/rollback counters ride the metrics export, "
              "the timeline stays byte-identical",
     )
@@ -488,7 +489,7 @@ def main(argv=None):
     )
     top_p.add_argument(
         "--sync",
-        choices=("conservative", "optimistic", "hierarchical", "auto"),
+        choices=SYNC_MODES,
         default=None,
         help="sharded barrier protocol for the watched cell",
     )
@@ -500,7 +501,7 @@ def main(argv=None):
     top_p.add_argument(
         "--checkpoint-every", type=checkpoint_interval, default=None,
         metavar="EPOCHS",
-        help="fork-checkpoint cadence for optimistic shard workers",
+        help="fork-checkpoint cadence for shard worker processes",
     )
     top_p.add_argument(
         "--interval", type=float, default=0.5, metavar="SECONDS",
@@ -530,7 +531,7 @@ def main(argv=None):
     )
     profile_p.add_argument(
         "--sync",
-        choices=("conservative", "optimistic", "hierarchical", "auto"),
+        choices=SYNC_MODES,
         default=None,
         help="sharded barrier protocol for cluster cells; --hot prints "
              "the protocol's sync counters with the engine statistics",
@@ -543,7 +544,7 @@ def main(argv=None):
     profile_p.add_argument(
         "--checkpoint-every", type=checkpoint_interval, default=None,
         metavar="EPOCHS",
-        help="fork-checkpoint cadence for optimistic shard workers; "
+        help="fork-checkpoint cadence for shard worker processes; "
              "--hot prints checkpoint/resume counters with the engine "
              "statistics",
     )

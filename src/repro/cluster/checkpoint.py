@@ -1,6 +1,6 @@
-r"""Fork-based copy-on-write checkpoints for optimistic shard workers.
+r"""Fork-based copy-on-write checkpoints for speculating shard workers.
 
-The optimistic protocol's rollback problem is that the model's
+The worker protocol's rollback problem is that the model's
 generator processes cannot be snapshotted in-process — an instruction
 pointer is not copyable (see ``Simulator.snapshot``, which is
 engine-state-only for exactly this reason) — so PR 8 rolled a
@@ -63,8 +63,8 @@ journal, so rollback falls back to PR 8's rebuild-and-replay-from-t=0
 path; the in-process group (daemonic pool workers, ``workers=0``)
 cannot sacrifice its own process and always uses full replay.
 Byte-identity is unaffected either way — checkpoints only move
-wall-clock, which the byte-identity CI gates (optimistic ==
-conservative at every shard count) hold to.
+wall-clock, which the byte-identity CI gates (hierarchical == the
+conservative reference at every shard count) hold to.
 """
 
 import multiprocessing

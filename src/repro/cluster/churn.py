@@ -158,7 +158,7 @@ def cluster_arrivals(seed, rate_per_s=0.0):
 def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
                      placement="least-loaded", teardown=True, shards=1,
                      workers=None, rate_per_s=0.0, engine_stats=None,
-                     trace=None, sync="conservative",
+                     trace=None, sync="hierarchical",
                      checkpoint_every=None, telemetry=None):
     """One cluster-scale launch cell; returns a plain-JSON summary.
 
@@ -168,12 +168,12 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
     routes to the sharded runner (:mod:`repro.cluster.sharded`):
     round-robin and burst-arrival cells come back byte-identical to the
     single-process run; spread-arrival least-loaded cells follow the
-    deterministic epoch protocol, under lockstep barriers
-    (``sync="conservative"``) or Time-Warp-lite speculation
-    (``sync="optimistic"``).  ``workers``, ``sync`` and
-    ``checkpoint_every`` (the optimistic workers' fork-checkpoint
-    cadence; 0 disables, None adapts) never change results;
-    single-process runs ignore ``sync`` (there is no barrier).
+    deterministic epoch protocol, served by speculating worker
+    processes (``sync="hierarchical"``) or by the in-process lockstep
+    reference (``sync="conservative"``).  ``workers``, ``sync`` and
+    ``checkpoint_every`` (the workers' fork-checkpoint cadence; 0
+    disables, None adapts) never change results; single-process runs
+    validate ``sync`` but otherwise ignore it (there is no barrier).
 
     ``engine_stats``, if given, is a dict filled with the simulator's
     :meth:`~repro.sim.core.Simulator.wheel_stats` for diagnostics —
@@ -195,10 +195,11 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
     one ``main`` probe timing the whole drive.  Same contract as
     ``trace``: never part of the summary.
     """
-    from repro.cluster.sharded import resolve_shards
+    from repro.cluster.sharded import resolve_shards, resolve_sync
 
+    sync = resolve_sync(sync)
     shards = resolve_shards(shards, hosts, placement=placement,
-                            rate_per_s=rate_per_s, sync=sync)
+                            rate_per_s=rate_per_s)
     if shards > 1:
         from repro.cluster.sharded import run_sharded_cluster
 

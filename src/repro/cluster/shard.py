@@ -111,7 +111,7 @@ class ClusterShard:
         self.deadline_misses = 0
         #: Lifecycles submitted / still running.  ``live`` counts a
         #: lifecycle from spawn (even before its arrival offset elapses)
-        #: until its teardown completes; the optimistic protocol only
+        #: until its teardown completes; the worker protocol only
         #: speculates while live work exists, so a shard can never
         #: free-run its daemons past the cluster's natural end.
         self.started = 0
@@ -202,7 +202,7 @@ class ClusterShard:
     def discard(self):
         """Mark this shard's timeline as rolled back and abandoned.
 
-        Called by the optimistic runner before the shard is dropped for
+        Called by a speculating worker before the shard is dropped for
         a replayed replacement: the half-run lifecycle generators get
         closed whenever garbage collection reaps the simulator, and
         their cleanup must not record startups or teardowns from a
@@ -227,7 +227,7 @@ class ClusterShard:
         """Teardown deltas recorded since the last call.
 
         With ``upto`` given, only deltas with time <= ``upto`` are
-        taken; the rest stay buffered.  This is the optimistic
+        taken; the rest stay buffered.  This is the worker
         protocol's anti-message boundary: teardowns a speculating shard
         produced *beyond* its committed frontier stay local (and are
         simply discarded with the shard on rollback), so the
@@ -242,7 +242,7 @@ class ClusterShard:
         so the coordinator's load vector never sees a delta twice no
         matter which process image produced it.
 
-        Optimistic/hierarchical step replies do not ship these pairs
+        Worker step replies do not ship these pairs
         verbatim: the worker summarizes each committed batch of them
         into a per-host load digest (``wire.digest_deltas``) — the
         coordinator only ever decrements loads with them, and every

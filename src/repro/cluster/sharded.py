@@ -6,210 +6,112 @@ on one core.  Hosts in the model are almost perfectly independent —
 per-host locks, CPUs, DRAM, VF pools — and interact only through
 *placement*, which is exactly the structure this module exploits: the
 cluster's hosts are partitioned into K contiguous shards, each simulated
-by its own :class:`~repro.cluster.shard.ClusterShard` (optionally in its
-own worker process), and a deterministic placement protocol stitches
-the shards into one logical timeline.
+by its own :class:`~repro.cluster.shard.ClusterShard`, and a
+deterministic placement protocol stitches the shards into one logical
+timeline.  Two ``sync`` values select who runs that protocol:
 
-Round-robin: zero synchronization
----------------------------------
+* ``"hierarchical"`` (the default) — the shards live in worker
+  processes that speak the one worker protocol described below.
+* ``"conservative"`` — the in-process lockstep *reference*: every
+  shard in this process, advanced barrier by barrier
+  (:class:`_InProcessGroup` + :func:`_place_epoch_barrier`).  It
+  ignores ``workers`` and shares no worker, relay, wire or speculation
+  code with the path it checks, which is what makes it the oracle the
+  byte-identity gates compare against.
 
-Round-robin placement is a pure function of arrival order (container
-``n`` lands on host ``n % H``), and arrival order is a pure function of
-the arrival schedule, which is known before the simulation starts.  The
-whole placement plan is therefore computed up front, each shard receives
-its containers in one message, and the shards run to completion with no
-barriers at all.  Because a host's event stream does not depend on which
-simulator it shares (per-host jitter forks ``host-i``, per-host state),
-the merged result is **byte-identical** to the single-process run for
-every shard count.
+Placement plans
+---------------
 
-Least-loaded: conservative epoch barriers
------------------------------------------
+Round-robin is a pure function of arrival order (container ``n`` lands
+on host ``n % H``), and arrival order is known before the simulation
+starts, so the whole plan is computed up front and reaches the shards
+as one submission.  Least-loaded with a simultaneous burst is the same
+in effect: every arrival lands in epoch 0 before any teardown exists.
+Because a host's event stream does not depend on which simulator it
+shares (per-host jitter forks ``host-i``, per-host state), both merge
+**byte-identical** to the single-process run for every shard count.
 
-Least-loaded placement needs cross-shard load knowledge: the pick for an
-arrival at time *t* depends on every placement and teardown before *t*.
+Least-loaded with spread arrivals needs cross-shard load knowledge.
 Placements are made centrally (the coordinator walks arrivals in
 schedule order), so the only information that must flow between shards
-is *teardown times* — and those become known only as each shard
-simulates.  The protocol advances all shards in lockstep over a fixed
-virtual-time grid of width ``L`` (the lookahead, derived from the
-minimum possible startup latency, :func:`min_startup_lookahead`):
+is *teardown times*.  The protocol advances over a fixed virtual-time
+grid of width ``L`` (the lookahead, :func:`min_startup_lookahead`):
 
 1. at barrier ``kL`` every shard has simulated to exactly ``kL`` and has
    reported every teardown with time <= ``kL``;
 2. the coordinator applies the reported load deltas, places the arrivals
-   of epoch ``[kL, (k+1)L)`` in (time, index) order against its load
-   vector, and sends each shard its assignments;
+   of epoch ``[kL, (k+1)L)`` in (time, index) order, and sends each
+   shard its assignments;
 3. every shard advances to ``(k+1)L``, reporting new teardowns.
 
-A teardown is thus visible to an arrival iff it happened at or before
-the start of the arrival's epoch — a *conservative* view (the load
-vector briefly overestimates), but one defined purely on the fixed grid:
-the placement sequence is a deterministic function of the arrival
-schedule and per-host teardown times, both of which are independent of
-the shard count and of how shards map to worker processes.  Results are
-therefore invariant to K and ``workers``.  Epochs without arrivals are
-skipped in one jump (the visibility rule depends only on the grid, not
-on which barriers were visited).  For a simultaneous burst every arrival
-lands in epoch 0 before any teardown exists, the pick sequence cycles
-exactly like round-robin, and the K > 1 result is byte-identical to the
-single-process run for this case too.
+A teardown is visible to an arrival iff it happened at or before the
+start of the arrival's epoch.  That rule is defined purely on the grid,
+so the placement sequence is a function of the arrival schedule and
+per-host teardown times only — invariant to K, to ``workers`` and to
+``sync``.  Epochs without arrivals are skipped in one jump.  The grid
+is *not* the single-process schedule: ``shards=1`` cells are routed by
+:func:`~repro.cluster.churn.run_cluster_cell` to the single-process
+:class:`Cluster`, whose teardowns are visible continuously, so for
+spread least-loaded cells the K=1 and K>=2 summaries differ by design.
+The oracle for those cells is the conservative reference (at any K
+here — this module runs the grid even for one shard).
 
-Optimistic: speculate past the barrier, replay on conflict
-----------------------------------------------------------
+The worker protocol
+-------------------
 
-``sync="optimistic"`` keeps the *semantics* of the conservative grid —
-placement still happens centrally, epoch by epoch, under the same
-teardown-visibility rule — but decouples each shard's local clock from
-the lockstep barriers (Time-Warp style, restricted to the one conflict
-this model has).  Three changes:
+Worker and relay processes serve four ops: ``step``, ``drain``,
+``finish`` and ``stop``.
 
-* **Combined step messages.**  One ``("step", kL, (k+1)L, safe,
-  batches)`` round-trip per epoch replaces the conservative submit +
-  run_until pair, halving per-epoch protocol latency.  ``safe`` is a
-  promise only this coordinator can make — the arrival schedule is
-  known up front, so the earliest barrier any future batch can carry
-  is the next unplaced arrival's epoch start.
+* **step** ``(barrier, epoch_end, safe, batches)`` submits each shard's
+  batch at the epoch ``barrier``, commits through ``epoch_end`` and
+  replies with a per-host *load digest* of the teardowns up to it
+  (wire tag ``L``).  ``safe`` is the earliest barrier any future batch
+  can carry (the next unplaced arrival's epoch start; infinity once
+  placement is done).  An up-front plan is one step at barrier 0 with
+  ``safe=inf``.
 * **Speculation.**  Between messages a shard free-runs past its
-  committed frontier in lookahead-sized quanta: *risk-free* up to the
-  ``safe`` bound (no batch below it can ever arrive, so that work is
-  certain to commit), and beyond it bounded by an adaptive window of W
-  epochs — but only while it has live lifecycles, so daemons never
-  free-run past the cluster's natural end.  Teardowns
-  produced beyond the frontier stay buffered inside the shard (they
-  are this protocol's anti-messages, except they are never
-  transmitted): the coordinator only ever sees deltas at or before the
-  committed frontier, which no future input can invalidate, so there
-  is nothing external to undo on rollback.
-* **Rollback by replay.**  When a step carries a batch whose barrier
-  lies *behind* the shard's speculated clock, the speculation ran past
-  a real input.  The model's generator processes cannot be snapshotted
-  (an instruction pointer is not copyable — see
-  ``Simulator.snapshot``, which is engine-state-only for exactly this
-  reason), so the shard is not patched in place.  The *fallback* path
-  rebuilds it from its spec and replays its input journal — every
-  (barrier, batch) it ever committed — up to the conflicting barrier:
-  O(committed history) per rollback.  Teardowns the coordinator
-  already saw are dropped from the replayed buffer; speculative ones
-  were never sent.
+  committed frontier: risk-free up to ``safe``, and beyond it bounded
+  by an AIMD window of W epochs, only while it has live lifecycles.
+  Teardowns beyond the frontier stay buffered in the shard, so the
+  coordinator only ever sees deltas no future input can invalidate.
+* **Rollback.**  A batch whose barrier lies behind a shard's speculated
+  clock means the speculation ran past a real input.  Generators cannot
+  be snapshotted, so the shard resumes from a copy-on-write fork
+  checkpoint and replays its journal suffix
+  (:mod:`repro.cluster.checkpoint`), or — without fork support, with
+  ``checkpoint_every=0``, or in-process — is rebuilt from its spec and
+  replays its whole journal.  Teardowns the coordinator already saw are
+  dropped from the replay.
+* **drain / finish.**  ``drain`` reports max(committed frontier, last
+  lifecycle completion); ``finish`` aligns every shard to the global
+  horizon (rolling back a clock that overshot it), so merged event
+  counts match the single-process run exactly.
 
-Fork checkpoints: O(Δ) rollback
--------------------------------
+Around the workers sit the paths that only move wall-clock:
 
-Worker processes bound the replay with copy-on-write checkpoints
-(:mod:`repro.cluster.checkpoint`): every C confirmed epochs (by
-default a reactive, adaptive cadence — armed by the first rollback,
-tied to the AIMD window, backed off while nothing conflicts) a worker
-``fork()``\ s a paused child at a commit-safe instant — a CoW image of
-the whole interpreter, generators included — and truncates its journal
-to the entries after the fork.  A conflict then *kills the current worker image*: the
-per-shard AIMD bookkeeping is packed into a handover message together
-with the journal suffix and the raw pending request, shipped down the
-checkpoint's control pipe, and the worker ``_exit``\ s.  The child —
-which first re-forks a replacement clone of itself, so the logical
-checkpoint survives repeated rollbacks — replays only the suffix,
-O(events since checkpoint) instead of O(history), and serves the
-coordinator pipe it inherited.  The coordinator never notices the
-swap: framing is strictly one outstanding request per worker, so the
-pending request travels in the handover and its reply comes from the
-resumed image.  Workers without ``os.fork`` (or started under a
-``spawn`` context, or with ``checkpoint_every=0``) keep the full
-journal and fall back to rebuild-and-replay-from-t=0; the in-process
-group cannot sacrifice its own process and always uses full replay.
-Checkpoints move wall-clock only — the committed timeline, and with
-it every result byte, is unchanged.
+* **Relay tree.**  When the worker count exceeds :data:`RELAY_FAN_IN`,
+  workers hang off relay processes (recursively), which route step
+  batches down and merge their children's digests by per-host addition,
+  so the coordinator touches at most fan-in pipes per epoch.
+* **Heap placement.**  Least-loaded picks come off a lazy min-heap of
+  ``(load, host)`` (:class:`repro.cluster.placement.LeastLoadedTracker`),
+  bit-identical to the O(hosts) scan.
+* **Depth-2 pipelining.**  After a batched step the coordinator streams
+  the next epoch's batchless jump before draining replies; every reply
+  is still applied before the next placement decision.  A fork-checkpoint
+  handover tolerates this: the queued request is unread bytes in the
+  kernel pipe buffer, which the resumed image inherits.
+* **Packed frames** (:mod:`repro.cluster.wire`) for steps and digests.
 
-Packed wire format
-------------------
-
-The per-epoch protocol messages — step/submit batches down, teardown
-deltas up — dominate barrier latency once the simulation itself is
-sharded away, so the hot path speaks the struct-packed binary framing
-of :mod:`repro.cluster.wire` (fixed headers plus ``array`` payloads)
-instead of pickling tagged tuples; cold control ops fall back to
-pickle behind a one-byte tag.  Setting
 ``REPRO_OPTIMISTIC_ADVERSARIAL_SAFE=1`` makes the coordinator
-under-promise the risk-free ``safe`` bound (the epoch barrier itself)
-and pins the speculation window open — every speculating shard then
-conflicts on nearly every batched epoch, which is the rollback-storm
-regime the determinism CI leg uses to hammer the checkpoint
-resume path.
+under-promise ``safe`` (the barrier itself) and pins every speculation
+window open, so speculating shards conflict on nearly every batched
+epoch — the rollback-storm regime the determinism gates use to hammer
+the checkpoint handover.
 
-The committed timeline every shard ends on is therefore *exactly* the
-conservative one — same barriers, same batches, same grid — so results
-stay byte-identical across sync modes, shard counts, and worker
-counts; speculation and rollback only move wall-clock.  The adaptive
-window (halved on rollback, grown on confirmed speculation, zeroed for
-good when rollbacks dominate commits) degrades pathological cells to
-the conservative protocol instead of thrashing on O(history) replays.
-
-Hierarchical: relay tree, digest replies, pipelined coordinator
----------------------------------------------------------------
-
-At high shard counts the *coordinator* becomes the bottleneck the
-protocol was built to remove: every epoch it pays one pipe write plus
-one pipe read per worker (O(shards) sequential syscalls on the serial
-path), walks an O(hosts) argmin per arrival, and sits idle between
-sending a step and receiving its replies.  ``sync="hierarchical"``
-keeps the worker protocol *exactly* optimistic — same combined steps,
-same speculation, same fork checkpoints — and restructures the paths
-around it, all behind the same byte-identity contract:
-
-* **Relay tree.**  When the worker count exceeds the fan-in
-  (:data:`RELAY_FAN_IN`, default 4), workers hang off intermediate
-  *relay* processes (recursively, so depth grows as log_fanin).  A
-  relay routes step batches down to its children and *tree-reduces*
-  their replies — load digests merge by per-host addition — so the
-  coordinator touches fan-in pipes per epoch instead of one per
-  worker, and the reduction work runs in the relays, in parallel.
-* **Load-digest replies (wire tag ``L``).**  Optimistic step replies
-  carry ``[(host, freed_count), ...]`` instead of every ``(time,
-  host)`` teardown pair.  The coordinator only ever *decremented its
-  load vector* with those pairs, and every reply is applied before the
-  next placement decision, so the digest is information-lossless for
-  placement — while making replies O(distinct hosts) and mergeable in
-  the relays.
-* **Incremental placement.**  The per-arrival O(hosts) argmin becomes
-  a lazy min-heap of ``(load, host)`` entries
-  (:class:`repro.cluster.placement.LeastLoadedTracker`) fed by the
-  digests, with stale-entry invalidation.  Heap order on ``(load,
-  host)`` tuples *is* "least load, ties to the lowest index", so every
-  pick is provably the host the exact scan would return — placement
-  stays bit-identical while per-epoch coordinator work drops from
-  O(arrivals x hosts) to O(arrivals log hosts).
-* **Depth-2 epoch pipelining.**  After shipping a batched step the
-  coordinator immediately streams the *next* epoch's batchless jump
-  (when the next arrival sits beyond the epoch just stepped) without
-  waiting for replies — two requests in flight per pipe, both replies
-  drained before the next placement decision.  The message sequence,
-  and with it the committed timeline, is exactly the serial protocol's;
-  what changes is that workers advance through the empty epochs while
-  the previous step's replies are still in the pipe, halving round-trip
-  waits on sparse-arrival cells.  The fork-checkpoint handover needs no
-  change for depth 2: at most one request is ever *in processing* (the
-  one the handover carries), and a queued follow-up lives in the kernel
-  pipe buffer, which survives the process swap with the inherited pipe.
-
-End-of-run under speculation: a speculated clock may overshoot the
-shard's natural end, so ``drain`` reports max(committed frontier, last
-lifecycle completion) — the end time the conservative run would have —
-and ``finish`` rolls a shard back by replay if its clock sits past the
-global horizon, so merged event counts still match the single-process
-run exactly.
-
-``shards=1`` requests are routed by :func:`~repro.cluster.churn.run_cluster_cell`
-to the single-process :class:`Cluster` path — today's behavior, with
-continuous (not epoch-quantized) teardown visibility.
-
-End-of-run alignment
---------------------
-
-After the last lifecycle finishes, shards have reached *different* local
-end times, but background daemons (the fastiovd scanner) tick for as
-long as the shared timeline stays alive in a single-process run.  The
-coordinator therefore collects every shard's local end time and advances
-the stragglers to the global maximum, so merged event counts match the
-single-process run exactly.
+The committed timeline every worker ends on is exactly the reference's —
+same barriers, same batches, same grid — so results are byte-identical
+across sync modes, shard counts and worker counts.
 """
 
 import multiprocessing
@@ -239,24 +141,14 @@ from repro.workloads.generator import ArrivalPattern
 #: Below this many hosts per shard, worker spawn and the per-epoch
 #: barrier cost more wall-clock than the split saves: the quick scale
 #: cell (8 hosts) measured 3.7 s at ``--shards 4`` against 2.3 s
-#: single-process.  ``resolve_shards("auto", ...)`` never splits finer.
-#: This floor applies to the zero-synchronization plans (round-robin,
-#: and burst arrivals under any placement), whose only overhead is
-#: worker spawn plus one submit/drain/finish exchange.
+#: single-process.  This floor applies to the up-front plans
+#: (round-robin, and burst arrivals under any placement), whose only
+#: overhead is worker spawn plus one step/drain/finish exchange.
 MIN_HOSTS_PER_SHARD = 8
-#: Spread-arrival least-loaded cells run the epoch protocol — a global
-#: barrier every lookahead (~52 ms of virtual time) — so a split has to
-#: amortize far more synchronization before it wins.  The conservative
-#: protocol pays two blocking round-trips per epoch; optimistic
-#: speculation overlaps simulation with the barrier wait and halves the
-#: round-trips, so its floor sits lower.
-MIN_HOSTS_PER_SHARD_EPOCH = 32
-MIN_HOSTS_PER_SHARD_OPTIMISTIC = 16
-#: Hierarchical sync runs the identical optimistic worker protocol —
-#: speculation overlaps the same barrier wait — so its floor matches
-#: the optimistic one; the relay tree only changes who fans the step
-#: out, not how much synchronization a shard must amortize.
-MIN_HOSTS_PER_SHARD_HIERARCHICAL = MIN_HOSTS_PER_SHARD_OPTIMISTIC
+#: Spread-arrival least-loaded cells run the epoch protocol — a barrier
+#: every lookahead (~52 ms of virtual time) — so a split has to
+#: amortize far more synchronization before it wins.
+MIN_HOSTS_PER_SHARD_EPOCH = 16
 
 #: Relay-tree fan-in: how many child pipes any one node (the
 #: coordinator, or a relay) serves before another relay layer is
@@ -267,85 +159,69 @@ MIN_HOSTS_PER_SHARD_HIERARCHICAL = MIN_HOSTS_PER_SHARD_OPTIMISTIC
 #: hop without removing any coordinator work.
 RELAY_FAN_IN = 4
 
+#: Accepted ``sync`` values, default first (see the module docstring).
+SYNC_MODES = ("hierarchical", "conservative")
 
-def resolve_shards(shards, hosts, placement="least-loaded", rate_per_s=0.0,
-                   sync="conservative"):
+
+def resolve_shards(shards, hosts, placement="least-loaded", rate_per_s=0.0):
     """Resolve a shard request — ``None``, an int, or ``"auto"`` — to a
     concrete shard count for a ``hosts``-host cell.
 
-    ``"auto"`` picks the widest split that keeps a minimum number of
-    hosts per shard, bounded by the CPU count — and that minimum now
-    depends on how much synchronization the cell's *placement plan*
-    needs, not just on host count:
+    ``"auto"`` decides from hosts, placement and rate only — never from
+    ``sync`` or the CPU count — whether the cell runs single-process or
+    sharded, because for spread least-loaded cells K=1 (continuous
+    teardown visibility) and K>=2 (the epoch grid) give different
+    results, while every K>=2 gives the same ones.  The floor is the
+    minimum hosts per shard for the cell's plan:
 
     ============================  =========================  =========
     plan                          synchronization            floor
     ============================  =========================  =========
     round-robin (any arrivals)    none (placed up front)     8
     least-loaded, burst           none (single epoch 0)      8
-    least-loaded, spread, cons.   2 round-trips per epoch    32
-    least-loaded, spread, opt.    1 round-trip + overlap     16
-    least-loaded, spread, hier.   1 round-trip + overlap     16
+    least-loaded, spread          one step per epoch         16
     ============================  =========================  =========
 
-    Hierarchical shares the optimistic floor: the per-shard
-    synchronization cost is identical (the worker protocol *is*
-    optimistic); relays and pipelining only cut coordinator-side work.
-
-    A cell below its floor falls back to the in-process single-shard
-    path (with a note on stderr), so auto never picks a sharded config
-    that benches slower than ``--shards 1`` — the epoch-protocol floors
-    exist precisely because a barrier-bound split can lose to the
-    single-process run even where the zero-sync plans win.  Explicit
-    integer counts are honored (clamped to ``hosts``) — the caller
-    asked for that split, overhead and all.  Results are byte-identical
-    across shard counts, so this is purely a wall-clock decision.
+    A cell with fewer than two floors of hosts runs single-process
+    (with a note on stderr); a larger one gets
+    ``max(2, min(cpus, hosts // floor))`` shards — the CPU count only
+    moves K within the sharded side.  Explicit integer counts are
+    honored (clamped to ``hosts``) — the caller asked for that split,
+    overhead and all.
     """
     if shards is None:
         return 1
     if shards == "auto":
         if placement == "round-robin" or not rate_per_s:
             floor = MIN_HOSTS_PER_SHARD
-        elif sync in ("optimistic", "hierarchical", "auto"):
-            floor = MIN_HOSTS_PER_SHARD_HIERARCHICAL
         else:
             floor = MIN_HOSTS_PER_SHARD_EPOCH
-        resolved = max(1, min(os.cpu_count() or 1, hosts // floor))
-        if resolved == 1 and hosts < 2 * floor:
+        if hosts < 2 * floor:
             print(
                 f"shards=auto: {hosts}-host cell is below "
                 f"{floor} hosts/shard at any split; "
                 f"using the in-process single-shard path",
                 file=sys.stderr,
             )
-        return resolved
+            return 1
+        return max(2, min(os.cpu_count() or 1, hosts // floor))
     return max(1, min(int(shards), hosts))
 
 
-def resolve_sync(sync, shards=1, placement="least-loaded"):
-    """Resolve a ``--sync`` request to the protocol actually run.
+def resolve_sync(sync):
+    """Validate a ``sync`` request; ``None`` means the default.
 
-    ``conservative``, ``optimistic`` and ``hierarchical`` are honored
-    for any cell that runs the epoch protocol; all degrade to
-    ``conservative`` when there is no barrier to speculate past (a
-    single shard, or round-robin placement, which is placed entirely
-    up front with zero synchronization).  ``auto`` picks
-    ``hierarchical`` exactly when the epoch protocol runs: the worker
-    side *is* the optimistic protocol (the adaptive window bounds its
-    downside to conservative-plus-noise), the relay tree only forms
-    when the worker count exceeds the fan-in, and the pipelined
-    coordinator sends the identical message sequence — results are
-    byte-identical across all of it, so — like :func:`resolve_shards`
-    — this is purely a wall-clock decision.
+    Raises :class:`ValueError` naming the valid modes for anything
+    else, so a removed or misspelt mode fails at the API boundary
+    instead of silently running some other protocol.
     """
     if sync is None:
-        return "conservative"
-    if sync not in ("conservative", "optimistic", "hierarchical", "auto"):
-        raise ValueError(f"unknown sync mode {sync!r}")
-    if shards <= 1 or placement == "round-robin":
-        return "conservative"
-    if sync == "auto":
-        return "hierarchical"
+        return SYNC_MODES[0]
+    if sync not in SYNC_MODES:
+        raise ValueError(
+            f"unknown sync mode {sync!r}; valid modes: "
+            f"{', '.join(SYNC_MODES)}"
+        )
     return sync
 
 
@@ -412,7 +288,7 @@ def peak_concurrency(spans):
 
 
 # ----------------------------------------------------------------------
-# optimistic shard state: journal, speculation window, rollback
+# speculative shard state: journal, speculation window, rollback
 # ----------------------------------------------------------------------
 #: Speculation window start/cap, in epochs of lookahead beyond the
 #: risk-free ``safe`` bound.  Slow-start: risk-free speculation alone
@@ -452,7 +328,7 @@ def _hist_add(hist, value):
 
 
 class _SpeculativeShard:
-    """A :class:`ClusterShard` plus the bookkeeping of optimistic sync.
+    """A :class:`ClusterShard` plus the worker protocol's bookkeeping.
 
     Holds the shard's input journal (every committed ``(barrier,
     batch)``), its committed frontier, and the adaptive speculation
@@ -516,9 +392,10 @@ class _SpeculativeShard:
         Submits ``batch`` at the epoch ``barrier`` (rolling back first
         if the local clock speculated past it), advances to
         ``epoch_end``, and returns the teardown deltas with time <=
-        ``epoch_end`` — exactly what the conservative submit +
-        run_until pair reports, so the coordinator's load vector sees
-        identical deltas at identical barriers in both modes.
+        ``epoch_end`` — exactly what the in-process reference's
+        submit + run_until pair reports, so the coordinator's load
+        vector sees identical deltas at identical barriers in both
+        modes.
 
         ``safe`` is the earliest barrier any future batch can carry
         (the next unplaced arrival's epoch start; infinity once every
@@ -663,7 +540,7 @@ class _SpeculativeShard:
         pre-checkpoint input applied; adopting the dead worker's
         bookkeeping and replaying the journal *suffix* (then running to
         the committed frontier) reproduces exactly the committed state
-        the conservative protocol would hold.  Teardowns regenerated on
+        the in-process reference would hold.  Teardowns regenerated on
         the way were already reported by the dead image — ``upto
         _reported`` drops them, so the coordinator's load vector never
         sees a delta twice.
@@ -726,15 +603,6 @@ class _SpeculativeShard:
                 self.throttled = True
                 self.window = 0
 
-    def resume_to(self, barrier):
-        """Coordinator-driven rollback for the no-checkpoint fallback:
-        discard speculation past max(barrier, frontier) by full replay.
-        Returns the shard's clock afterwards."""
-        target = max(barrier, self._frontier)
-        if self.shard.sim.now > target:
-            self._rollback(target)
-        return self.shard.sim.now
-
     def _rollback(self, when):
         """Rebuild the shard and replay its journal up to ``when``.
 
@@ -785,7 +653,7 @@ class _SpeculativeShard:
         The speculated clock may sit past the last completion (a
         quantum never stops mid-flight), so the reported end is
         max(committed frontier, last lifecycle completion) — exactly
-        the ``sim.now`` a conservative shard lands on after its drain.
+        the ``sim.now`` a reference shard lands on after its drain.
         """
         shard = self.shard
         shard.sim.run()
@@ -855,10 +723,14 @@ def _fold_sync_stats(results, barrier_wait_s):
 
 
 # ----------------------------------------------------------------------
-# shard groups: the same protocol, in-process or over worker processes
+# shard groups: the in-process reference, in-process workers, processes
 # ----------------------------------------------------------------------
 class _InProcessGroup:
-    """All shards in this process (workers=0, or inside a pool worker)."""
+    """The conservative reference: every shard here, in lockstep.
+
+    No speculation, no worker, relay or wire code — the shards advance
+    barrier by barrier exactly as the grid rule reads.
+    """
 
     def __init__(self, shard_specs):
         self.shards = [ClusterShard(**spec) for _, spec in shard_specs]
@@ -878,18 +750,6 @@ class _InProcessGroup:
     def drain(self):
         return [shard.drain() for shard in self.shards]
 
-    def checkpoint(self):
-        """Conservative shards never speculate: nothing to checkpoint."""
-        return [False for _ in self.shards]
-
-    def resume(self, barrier):
-        """No speculation means every clock already sits at or below
-        any committed barrier; report the clocks unchanged."""
-        return {
-            shard_id: shard.sim.now
-            for shard_id, shard in enumerate(self.shards)
-        }
-
     def finish(self, horizon):
         results = []
         for shard in self.shards:
@@ -904,21 +764,17 @@ class _InProcessGroup:
         self.shards = []
 
 
-class _OptimisticInProcessGroup:
-    """All shards in this process, speculating eagerly after each step.
+class _SpeculativeInProcessGroup:
+    """The worker protocol with every shard in this process
+    (``workers=0``, or inside a daemonic pool worker).
 
     Wall-clock-wise, in-process speculation buys nothing — there is no
     idle core to soak while the coordinator thinks — but it executes
     the identical protocol the worker processes run, and it does so
-    *deterministically*: speculation depth depends only on the adaptive
-    window, never on OS timing.  That is what makes rollback counts
-    assertable in tests.
-
-    The pipelined coordinator's split ``step_send``/``step_recv`` is
-    served by executing each step the moment it is sent and queueing
-    its digest — in-process there is no one to overlap with, so
-    immediate execution is both the simplest and the deterministic
-    reading of "two requests in flight".
+    *deterministically*: each step is executed the moment it is sent
+    and speculation runs to window exhaustion right after it, so
+    speculation depth depends only on the adaptive window, never on OS
+    timing.  That is what makes rollback counts assertable in tests.
     """
 
     def __init__(self, shard_specs, lookahead):
@@ -948,19 +804,6 @@ class _OptimisticInProcessGroup:
     def drain(self):
         return [state.drain() for state in self.states]
 
-    def checkpoint(self):
-        """In-process shards cannot sacrifice their own interpreter, so
-        there is no image to fork — rollback stays full replay."""
-        return [False for _ in self.states]
-
-    def resume(self, barrier):
-        """Fallback resume: full replay for every shard whose clock
-        speculated past ``barrier``; returns the clocks afterwards."""
-        return {
-            shard_id: state.resume_to(barrier)
-            for shard_id, state in enumerate(self.states)
-        }
-
     def finish(self, horizon):
         results = [state.finish(horizon) for state in self.states]
         return results, _fold_sync_stats(results, 0.0)
@@ -969,15 +812,13 @@ class _OptimisticInProcessGroup:
         self.states = []
 
 
-def _shard_worker_main(conn, shard_specs, sync="conservative",
-                       lookahead=0.0, checkpoint_every=None,
+def _shard_worker_main(conn, shard_specs, lookahead, checkpoint_every=None,
                        eager=False, use_fork=True):
-    """Worker entry: serve the protocol for the assigned shards.
+    """Worker entry: serve the worker protocol for the assigned shards.
 
-    ``hierarchical`` is the optimistic worker protocol verbatim — the
-    tree topology and the pipelined coordinator live entirely above
-    this loop (relays speak the same ops), so a leaf worker cannot
-    tell the modes apart.
+    The tree topology and the pipelined coordinator live entirely above
+    this loop (relays speak the same ops), so a leaf worker cannot tell
+    whether its parent is the coordinator or a relay.
     """
     try:
         if runtime.probes_enabled():
@@ -991,14 +832,11 @@ def _shard_worker_main(conn, shard_specs, sync="conservative",
             )
             runtime.set_probe(probe)
             wire.set_probe(probe)
-        if sync in ("optimistic", "hierarchical"):
-            _optimistic_worker_loop(
-                conn, shard_specs, lookahead,
-                checkpoint_every=checkpoint_every, eager=eager,
-                use_fork=use_fork,
-            )
-        else:
-            _conservative_worker_loop(conn, shard_specs)
+        _worker_loop(
+            conn, shard_specs, lookahead,
+            checkpoint_every=checkpoint_every, eager=eager,
+            use_fork=use_fork,
+        )
     except BaseException as exc:  # noqa: BLE001 - ship it to the parent
         try:
             wire.send(
@@ -1006,75 +844,6 @@ def _shard_worker_main(conn, shard_specs, sync="conservative",
             )
         except OSError:  # pragma: no cover - parent already gone
             pass
-
-
-def _conservative_worker_loop(conn, shard_specs):
-    """Lockstep worker: build the assigned shards, serve barrier ops."""
-    shards = {shard_id: ClusterShard(**spec)
-              for shard_id, spec in shard_specs}
-    probe = runtime.get_probe()
-    if probe is not None:
-        for shard in shards.values():
-            shard.sim.runtime_probe = probe
-    wait_s = 0.0
-    epochs = 0
-    while True:
-        waited = time.perf_counter()
-        if probe is not None:
-            # Separate the blocked wait from the decode: poll first so
-            # barrier_wait covers only the blocking, and wire.recv's
-            # internal ipc_recv lap covers only the decode.
-            conn.poll(None)
-            probe.lap("barrier_wait", waited)
-        message = wire.recv(conn)
-        wait_s += time.perf_counter() - waited
-        op = message[0]
-        began = probe.begin() if probe is not None else 0.0
-        if op == "submit":
-            for shard_id, batch in message[1].items():
-                shards[shard_id].submit(batch)
-            wire.send(conn, ("ok", None), piggyback=True)
-        elif op == "run_until":
-            epochs += 1
-            deltas = []
-            for shard in shards.values():
-                deltas.extend(shard.run_until(message[1]))
-            if probe is not None:
-                probe.lap("compute", began)
-                probe.count("epochs")
-            wire.send(conn, ("ok", deltas), piggyback=True)
-        elif op == "drain":
-            reply = {sid: shard.drain()
-                     for sid, shard in shards.items()}
-            if probe is not None:
-                probe.lap("compute", began)
-            wire.send(conn, ("ok", reply), piggyback=True)
-        elif op == "checkpoint":
-            # Lockstep shards never speculate: nothing to checkpoint.
-            wire.send(conn, ("ok", False), piggyback=True)
-        elif op == "resume":
-            wire.send(
-                conn,
-                ("ok", {sid: shard.sim.now
-                        for sid, shard in shards.items()}),
-                piggyback=True,
-            )
-        elif op == "finish":
-            results = {}
-            for shard_id, shard in shards.items():
-                if shard.sim.now < message[1]:
-                    shard.sim.run_until(message[1])
-                results[shard_id] = shard.result()
-            if probe is not None:
-                probe.lap("compute", began)
-            wire.send(conn, ("ok", {"results": results, "wait_s": wait_s,
-                                    "epochs": epochs}), piggyback=True)
-        elif op == "stop":
-            wire.send(conn, ("ok", None), piggyback=True)
-            return
-        else:  # pragma: no cover - protocol guard
-            wire.send(conn, ("error", f"unknown op {op!r}"))
-            return
 
 
 def _apply_handover(states, handover, ckpt):
@@ -1108,9 +877,8 @@ def _apply_handover(states, handover, ckpt):
     return wire.decode(handover["pending"])
 
 
-def _optimistic_worker_loop(conn, shard_specs, lookahead,
-                            checkpoint_every=None, eager=False,
-                            use_fork=True):
+def _worker_loop(conn, shard_specs, lookahead, checkpoint_every=None,
+                 eager=False, use_fork=True):
     """Speculating worker: free-run whenever the pipe is quiet.
 
     Every quantum re-polls the pipe, so a pending step message is
@@ -1214,33 +982,6 @@ def _optimistic_worker_loop(conn, shard_specs, lookahead,
                 resumed = ckpt.after_step()
                 if resumed is not None:
                     pending = _apply_handover(states, resumed, ckpt)
-        elif op == "checkpoint":
-            taken = False
-            if ckpt is not None and all(
-                state.checkpointable() for state in states.values()
-            ):
-                resumed = ckpt.capture()
-                if resumed is not None:
-                    # Resumed child of this very capture: the parent
-                    # already replied to the checkpoint op before it
-                    # died, so only the pending request needs serving.
-                    pending = _apply_handover(states, resumed, ckpt)
-                    continue
-                taken = True
-            wire.send(conn, ("ok", taken), piggyback=True)
-        elif op == "resume":
-            barrier = message[1]
-            over = [
-                state for state in states.values()
-                if state.shard.sim.now > max(barrier, state._frontier)
-            ]
-            if over and ckpt is not None and ckpt.live is not None:
-                for state in over:
-                    state.note_checkpoint_rollback(barrier)
-                ckpt.hand_over(wire.encode(message))
-            clocks = {sid: state.resume_to(barrier)
-                      for sid, state in states.items()}
-            wire.send(conn, ("ok", clocks), piggyback=True)
         elif op == "drain":
             began = probe.begin() if probe is not None else 0.0
             reply = {sid: state.drain()
@@ -1262,8 +1003,8 @@ def _optimistic_worker_loop(conn, shard_specs, lookahead,
             if ckpt is not None:
                 ckpt.close()
                 ckpt = None
-            wire.send(conn, ("ok", {"results": results, "wait_s": wait_s,
-                                    "epochs": 0}), piggyback=True)
+            wire.send(conn, ("ok", {"results": results, "wait_s": wait_s}),
+                      piggyback=True)
         elif op == "stop":
             if ckpt is not None:
                 ckpt.close()
@@ -1274,16 +1015,16 @@ def _optimistic_worker_loop(conn, shard_specs, lookahead,
             return
 
 
-def _spawn_workers(context_name, chunks, sync, lookahead, checkpoint_every,
-                   eager, fan_in, label="repro-shard"):
+def _spawn_workers(context_name, chunks, lookahead, checkpoint_every,
+                   eager, label="repro-shard"):
     """Spawn the processes serving ``chunks`` (one shard-spec list each).
 
-    Flat star when the chunk count fits the fan-in (or ``fan_in`` is
-    None): one leaf worker per chunk.  Otherwise the chunks are grouped
-    under ``fan_in`` relay processes — each relay re-enters this
-    function for its own sub-tree, so depth grows logarithmically and
-    no node ever serves more than ``fan_in`` pipes.  Returns
-    ``(procs, conns, shard_ids_per_conn)``.
+    Flat star when the chunk count fits :data:`RELAY_FAN_IN`: one leaf
+    worker per chunk.  Otherwise the chunks are grouped under fan-in
+    relay processes — each relay re-enters this function for its own
+    sub-tree, so depth grows logarithmically and no node ever serves
+    more than fan-in pipes.  Returns ``(procs, conns,
+    shard_ids_per_conn)``.
     """
     context = multiprocessing.get_context(context_name)
     # Fork checkpoints need the worker itself to be fork-started: a
@@ -1293,14 +1034,15 @@ def _spawn_workers(context_name, chunks, sync, lookahead, checkpoint_every,
     procs = []
     conns = []
     owners = []
-    if fan_in is not None and len(chunks) > fan_in:
-        groups = [chunks[index::fan_in] for index in range(fan_in)]
+    if len(chunks) > RELAY_FAN_IN:
+        groups = [chunks[index::RELAY_FAN_IN]
+                  for index in range(RELAY_FAN_IN)]
         for index, group_chunks in enumerate(groups):
             parent_conn, child_conn = context.Pipe()
             proc = context.Process(
                 target=_relay_main,
-                args=(child_conn, group_chunks, sync, lookahead,
-                      checkpoint_every, eager, fan_in, context_name),
+                args=(child_conn, group_chunks, lookahead,
+                      checkpoint_every, eager, context_name),
                 name=f"{label}-relay-{index}",
             )
             proc.start()
@@ -1314,8 +1056,8 @@ def _spawn_workers(context_name, chunks, sync, lookahead, checkpoint_every,
         parent_conn, child_conn = context.Pipe()
         proc = context.Process(
             target=_shard_worker_main,
-            args=(child_conn, chunk, sync, lookahead,
-                  checkpoint_every, eager, use_fork),
+            args=(child_conn, chunk, lookahead, checkpoint_every, eager,
+                  use_fork),
             name=f"{label}-worker-{index}",
         )
         proc.start()
@@ -1326,8 +1068,8 @@ def _spawn_workers(context_name, chunks, sync, lookahead, checkpoint_every,
     return procs, conns, owners
 
 
-def _relay_main(conn, chunks, sync, lookahead, checkpoint_every, eager,
-                fan_in, context_name):
+def _relay_main(conn, chunks, lookahead, checkpoint_every, eager,
+                context_name):
     """Relay entry: aggregate a sub-tree of workers behind one pipe."""
     try:
         if runtime.probes_enabled():
@@ -1340,14 +1082,10 @@ def _relay_main(conn, chunks, sync, lookahead, checkpoint_every, eager,
             # telemetry plane no extra frames.
             wire.set_telemetry_sink(RecordBuffer())
         procs, conns, owners = _spawn_workers(
-            context_name, chunks, sync, lookahead, checkpoint_every,
-            eager, fan_in, label=multiprocessing.current_process().name,
+            context_name, chunks, lookahead, checkpoint_every, eager,
+            label=multiprocessing.current_process().name,
         )
-        owner = {}
-        for index, shard_ids in enumerate(owners):
-            for shard_id in shard_ids:
-                owner[shard_id] = index
-        _relay_loop(conn, procs, conns, owner)
+        _relay_loop(conn, procs, conns, _owner_map(owners))
     except BaseException as exc:  # noqa: BLE001 - ship it to the parent
         try:
             wire.send(
@@ -1357,12 +1095,27 @@ def _relay_main(conn, chunks, sync, lookahead, checkpoint_every, eager,
             pass
 
 
-def _relay_loop(parent, procs, conns, owner):
-    """Serve the shard-group protocol by fan-out and tree reduction.
+def _owner_map(owners):
+    """``[[shard_id, ...] per pipe]`` -> ``{shard_id: pipe index}``."""
+    return {shard_id: index
+            for index, shard_ids in enumerate(owners)
+            for shard_id in shard_ids}
 
-    A relay is protocol-transparent: it routes batch payloads down by
+
+def _route(owner, pipes, batches):
+    """Split ``{shard_id: batch}`` into one batch dict per child pipe."""
+    routed = [{} for _ in range(pipes)]
+    for shard_id, batch in batches.items():
+        routed[owner[shard_id]][shard_id] = batch
+    return routed
+
+
+def _relay_loop(parent, procs, conns, owner):
+    """Serve the worker protocol by fan-out and tree reduction.
+
+    A relay is protocol-transparent: it routes step batches down by
     shard ownership, reduces the children's replies (digests merge by
-    per-host addition, result/clock dicts by union, wait by sum), and
+    per-host addition, result/end dicts by union, wait by sum), and
     answers with exactly the frame a leaf worker would — so the parent,
     which may itself be a relay, cannot tell tree depth apart.
 
@@ -1375,15 +1128,9 @@ def _relay_loop(parent, procs, conns, owner):
     """
     probe = runtime.get_probe()
 
-    def route(batches):
-        routed = [{} for _ in conns]
-        for shard_id, batch in batches.items():
-            routed[owner[shard_id]][shard_id] = batch
-        return routed
-
     def forward_step(message):
         _op, barrier, epoch_end, safe, batches = message
-        for conn, payload in zip(conns, route(batches)):
+        for conn, payload in zip(conns, _route(owner, len(conns), batches)):
             wire.send(conn, ("step", barrier, epoch_end, safe, payload))
 
     def gather():
@@ -1425,48 +1172,23 @@ def _relay_loop(parent, procs, conns, owner):
                     parent, ("loads", wire.merge_digests(gather())),
                     piggyback=True,
                 )
-        elif op == "submit":
-            for conn, payload in zip(conns, route(message[1])):
-                wire.send(conn, ("submit", payload))
-            gather()
-            wire.send(parent, ("ok", None), piggyback=True)
-        elif op == "run_until":
+        elif op == "drain":
             for conn in conns:
                 wire.send(conn, message)
-            deltas = []
+            ends = {}
             for payload in gather():
-                deltas.extend(payload)
-            wire.send(parent, ("ok", deltas), piggyback=True)
-        elif op == "checkpoint":
-            for conn in conns:
-                wire.send(conn, message)
-            flags = []
-            for payload in gather():
-                if isinstance(payload, list):
-                    flags.extend(payload)
-                else:
-                    flags.append(bool(payload))
-            wire.send(parent, ("ok", flags), piggyback=True)
-        elif op in ("resume", "drain"):
-            for conn in conns:
-                wire.send(conn, message)
-            merged = {}
-            for payload in gather():
-                merged.update(payload)
-            wire.send(parent, ("ok", merged), piggyback=True)
+                ends.update(payload)
+            wire.send(parent, ("ok", ends), piggyback=True)
         elif op == "finish":
             for conn in conns:
                 wire.send(conn, message)
             results = {}
             wait_s = 0.0
-            epochs = 0
             for payload in gather():
                 results.update(payload["results"])
                 wait_s += payload["wait_s"]
-                epochs = max(epochs, payload["epochs"])
             wire.send(parent, ("ok", {"results": results,
-                                      "wait_s": wait_s,
-                                      "epochs": epochs}),
+                                      "wait_s": wait_s}),
                       piggyback=True)
         elif op == "stop":
             for conn in conns:
@@ -1491,27 +1213,20 @@ class _WorkerGroup:
     (:mod:`repro.cluster.wire`); after a checkpoint handover the
     process behind a pipe is a different PID, but the Connection — and
     the bounded-outstanding-request framing on it — carries over
-    untouched, so the group never needs to know.
-
-    With ``fan_in`` set and more workers than the fan-in, the pipes
-    below are relay sub-trees instead of leaf workers — same protocol,
-    fewer pipes on the coordinator's serial path.
+    untouched, so the group never needs to know.  With more workers
+    than :data:`RELAY_FAN_IN` the pipes below are relay sub-trees
+    instead of leaf workers — same protocol, fewer pipes on the
+    coordinator's serial path.
     """
 
-    def __init__(self, shard_specs, workers, sync="conservative",
-                 lookahead=0.0, checkpoint_every=None, context=None,
-                 eager=False, fan_in=None):
-        context_name = context or "fork"
+    def __init__(self, shard_specs, workers, lookahead,
+                 checkpoint_every=None, context=None, eager=False):
         chunks = [shard_specs[index::workers] for index in range(workers)]
         chunks = [chunk for chunk in chunks if chunk]
         self._procs, self._conns, owners = _spawn_workers(
-            context_name, chunks, sync, lookahead, checkpoint_every,
-            eager, fan_in,
+            context or "fork", chunks, lookahead, checkpoint_every, eager,
         )
-        self._owner = {}
-        for index, shard_ids in enumerate(owners):
-            for shard_id in shard_ids:
-                self._owner[shard_id] = index
+        self._owner = _owner_map(owners)
 
     def _broadcast(self, message):
         for conn in self._conns:
@@ -1525,26 +1240,8 @@ class _WorkerGroup:
             replies.append(payload)
         return replies
 
-    def submit(self, batches):
-        routed = [{} for _ in self._conns]
-        for shard_id, batch in batches.items():
-            routed[self._owner[shard_id]][shard_id] = batch
-        for conn, payload in zip(self._conns, routed):
-            wire.send(conn, ("submit", payload))
-        for conn in self._conns:
-            status, detail = wire.recv(conn)
-            if status != "ok":
-                self.close()
-                raise RuntimeError(f"shard worker failed:\n{detail}")
-
-    def run_until(self, when):
-        deltas = []
-        for payload in self._broadcast(("run_until", when)):
-            deltas.extend(payload)
-        return deltas
-
     def step_send(self, barrier, epoch_end, safe, batches):
-        """Ship one combined step without waiting for its replies.
+        """Ship one step without waiting for its replies.
 
         The pipelined coordinator calls this back-to-back (at most two
         outstanding per pipe — the depth the checkpoint handover
@@ -1552,9 +1249,7 @@ class _WorkerGroup:
         a queued one survives in the kernel pipe buffer); every send
         must be matched by a later :meth:`step_recv`, in order.
         """
-        routed = [{} for _ in self._conns]
-        for shard_id, batch in batches.items():
-            routed[self._owner[shard_id]][shard_id] = batch
+        routed = _route(self._owner, len(self._conns), batches)
         for conn, payload in zip(self._conns, routed):
             wire.send(conn, ("step", barrier, epoch_end, safe, payload))
 
@@ -1570,37 +1265,10 @@ class _WorkerGroup:
         return wire.merge_digests(digests)
 
     def step(self, barrier, epoch_end, safe, batches):
-        """Optimistic combined op: submit + advance + collect digests
-        in one round-trip (workers speculate while this one is in
-        flight on their idle siblings' pipes)."""
+        """Submit + advance + collect digests in one round-trip
+        (workers speculate while it is in flight)."""
         self.step_send(barrier, epoch_end, safe, batches)
         return self.step_recv()
-
-    def checkpoint(self):
-        """Ask every worker to fork a checkpoint now (if commit-safe).
-
-        Returns one taken/skipped flag per worker — False where the
-        worker has no fork support, checkpoints are disabled, or some
-        shard's clock is not at a commit-safe instant.  A relay replies
-        with its whole sub-tree's flags as a list, flattened here.
-        """
-        flags = []
-        for taken in self._broadcast(("checkpoint", None)):
-            if isinstance(taken, list):
-                flags.extend(bool(flag) for flag in taken)
-            else:
-                flags.append(bool(taken))
-        return flags
-
-    def resume(self, barrier):
-        """Roll every shard that speculated past ``barrier`` back to
-        its committed state — through the checkpoint image where one
-        is live (killing the current worker image), by full replay
-        otherwise.  Returns ``{shard_id: clock}`` afterwards."""
-        clocks = {}
-        for payload in self._broadcast(("resume", barrier)):
-            clocks.update(payload)
-        return clocks
 
     def drain(self):
         ends = {}
@@ -1611,15 +1279,11 @@ class _WorkerGroup:
     def finish(self, horizon):
         results = {}
         wait_s = 0.0
-        epochs = 0
         for payload in self._broadcast(("finish", horizon)):
             results.update(payload["results"])
             wait_s += payload["wait_s"]
-            epochs = max(epochs, payload["epochs"])
         ordered = [results[shard_id] for shard_id in sorted(results)]
-        stats = _fold_sync_stats(ordered, wait_s)
-        stats["epochs"] = max(stats["epochs"], epochs)
-        return ordered, stats
+        return ordered, _fold_sync_stats(ordered, wait_s)
 
     def close(self):
         for conn in self._conns:
@@ -1642,23 +1306,21 @@ class _WorkerGroup:
         self._conns = []
 
 
-def _make_group(shard_specs, workers, sync="conservative", lookahead=0.0,
-                checkpoint_every=None, context=None, eager=False,
-                fan_in=None):
+def _make_group(shard_specs, workers, sync, lookahead, checkpoint_every=None,
+                context=None, eager=False):
+    if sync == "conservative":
+        return _InProcessGroup(shard_specs)
     if workers is None:
         workers = len(shard_specs)
     # A multiprocessing.Pool worker is daemonic and may not fork
-    # children; sharded cells that land there degrade to in-process.
+    # children; sharded cells that land there run in-process.
     if multiprocessing.current_process().daemon:
         workers = 0
     if workers < 1:
-        if sync in ("optimistic", "hierarchical"):
-            return _OptimisticInProcessGroup(shard_specs, lookahead)
-        return _InProcessGroup(shard_specs)
+        return _SpeculativeInProcessGroup(shard_specs, lookahead)
     return _WorkerGroup(
-        shard_specs, min(workers, len(shard_specs)), sync, lookahead,
+        shard_specs, min(workers, len(shard_specs)), lookahead,
         checkpoint_every=checkpoint_every, context=context, eager=eager,
-        fan_in=fan_in,
     )
 
 
@@ -1669,10 +1331,10 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
                         placement="least-loaded", app_name=None,
                         teardown=True, memory_bytes=None, spec=None,
                         vf_count=None, arrivals=None, workers=None,
-                        name_prefix="w", trace=None, sync="conservative",
+                        name_prefix="w", trace=None, sync="hierarchical",
                         engine_stats=None, checkpoint_every=None,
                         worker_context=None, eager_speculation=False,
-                        fan_in=None, telemetry=None):
+                        telemetry=None):
     """Run one cluster churn burst over K shards; returns the summary.
 
     The summary has exactly the shape (and, for round-robin and for
@@ -1681,27 +1343,26 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
 
     Args:
         shards: Number of shards K (clamped to ``hosts``).
-        workers: OS processes serving the shards.  None = one per
-            shard (the parallel fast path); 0 = everything in-process
-            (useful under pool workers and in tests).  Results are
+        workers: OS processes serving the shards under
+            ``"hierarchical"``.  None = one per shard (the parallel fast
+            path); 0 = everything in-process (useful under pool workers
+            and in tests).  ``"conservative"`` ignores it.  Results are
             invariant to this knob.
         arrivals: :class:`ArrivalPattern` (default: simultaneous burst).
         trace: Optional dict, filled with the merged flight-recorder
             bundle (``repro.obs``): each shard records its own hosts
             and the merge is a disjoint union of host-unique tracks.
             The returned summary never contains trace data.
-        sync: ``"conservative"`` (lockstep epoch barriers),
-            ``"optimistic"`` (speculate past the barrier, replay on
-            conflict), ``"hierarchical"`` (optimistic workers under a
-            relay tree with a pipelined coordinator), or ``"auto"``;
-            resolved by :func:`resolve_sync`.  Results are
-            byte-identical across modes — this knob moves wall-clock
-            only.
+        sync: ``"hierarchical"`` (the worker protocol: speculating
+            workers under a relay tree with a pipelined coordinator)
+            or ``"conservative"`` (the in-process lockstep reference);
+            validated by :func:`resolve_sync`.  Results are
+            byte-identical across modes.
         engine_stats: Optional dict, filled with aggregated per-shard
             wheel stats plus the sync-protocol counters (epochs,
             barrier wait, rollbacks, speculated/replayed events,
             checkpoints/resumes and their depth histograms).
-        checkpoint_every: Fork-checkpoint cadence for optimistic
+        checkpoint_every: Fork-checkpoint cadence for speculating
             workers, in confirmed epochs.  ``None`` adapts to the AIMD
             window; ``0`` disables checkpoints (rollback falls back to
             full replay from t=0).  Wall-clock only — results are
@@ -1713,10 +1374,6 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
             blocking on the next protocol message instead of racing
             the pipe.  Deterministic rollback counts (for tests and
             benches) at the cost of the overlap the racing loop buys.
-        fan_in: Relay-tree fan-in for hierarchical sync (``None`` =
-            :data:`RELAY_FAN_IN`).  A relay layer forms only when the
-            worker count exceeds it.  Wall-clock only — results are
-            invariant to this knob.
         telemetry: Optional dict, filled with the wall-clock telemetry
             snapshot (``repro.obs.runtime``): per-process phase
             totals, spans, instants and wire accounting for the
@@ -1730,7 +1387,7 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
     if concurrency <= 0:
         raise ValueError(f"concurrency must be positive, got {concurrency}")
     shards = min(shards, hosts)
-    sync = resolve_sync(sync, shards=shards, placement=placement)
+    sync = resolve_sync(sync)
     bounds = partition_hosts(hosts, shards)
     if arrivals is None:
         arrivals = ArrivalPattern("burst")
@@ -1763,8 +1420,6 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
             host_shard[host_index] = shard_id
 
     lookahead = min_startup_lookahead(spec)
-    if fan_in is None and sync == "hierarchical":
-        fan_in = RELAY_FAN_IN
     trace_coordinator = trace is not None and os.environ.get(
         "REPRO_TRACE_COORDINATOR", ""
     ) not in ("", "0")
@@ -1791,24 +1446,22 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
         shard_specs, workers, sync, lookahead,
         checkpoint_every=checkpoint_every, context=worker_context,
         eager=eager_speculation,
-        fan_in=fan_in if sync == "hierarchical" else None,
     )
     try:
         if placement == "round-robin":
-            _place_round_robin(group, order, offsets, hosts, host_shard)
+            batches = _round_robin_plan(order, offsets, hosts, host_shard)
+            if sync == "conservative":
+                group.submit(batches)
+            else:
+                # An up-front plan is one step at barrier 0 that
+                # promises no later batch: shards free-run risk-free.
+                group.step(0.0, 0.0, float("inf"), batches)
         else:
             tracker = make_load_tracker(placement, hosts)
-            if sync == "conservative":
-                _place_epoch_barrier(
-                    group, order, offsets, host_shard, tracker,
-                    lookahead, stats,
-                )
-            else:
-                _place_epoch_steps(
-                    group, order, offsets, host_shard, tracker,
-                    lookahead, stats,
-                    pipelined=(sync == "hierarchical"),
-                )
+            place = (_place_epoch_barrier if sync == "conservative"
+                     else _place_epoch_steps)
+            place(group, order, offsets, host_shard, tracker, lookahead,
+                  stats)
         ends = group.drain()
         results, sync_stats = group.finish(max(ends))
     finally:
@@ -1896,15 +1549,15 @@ def _aggregate_wheel_stats(wheels):
     return totals
 
 
-def _place_round_robin(group, order, offsets, hosts, host_shard):
-    """The sync-free plan: container n -> host n % H, one submit."""
+def _round_robin_plan(order, offsets, hosts, host_shard):
+    """The sync-free plan: container n -> host n % H, per shard."""
     batches = {}
     for position, n in enumerate(order):
         host_index = position % hosts
         batches.setdefault(host_shard[host_index], []).append(
             (n, offsets[n], host_index)
         )
-    group.submit(batches)
+    return batches
 
 
 class _CoordinatorStats:
@@ -1954,7 +1607,9 @@ class _CoordinatorStats:
 
 def _place_epoch_barrier(group, order, offsets, host_shard, tracker,
                          lookahead, stats):
-    """Least-loaded over the fixed epoch grid (see module docstring)."""
+    """The reference walk: least-loaded over the fixed epoch grid,
+    each epoch a submit plus a lockstep advance (see module docstring).
+    """
     # Epochs are tracked by integer index so barrier times are always
     # the product ``k * lookahead`` — products of increasing integers
     # with the same positive float are monotonic, so shard clocks never
@@ -1998,8 +1653,8 @@ def _place_epoch_barrier(group, order, offsets, host_shard, tracker,
 
 
 def _place_epoch_steps(group, order, offsets, host_shard, tracker,
-                       lookahead, stats, pipelined=False):
-    """The conservative epoch walk, driven by combined ``step`` ops.
+                       lookahead, stats):
+    """The same epoch walk, driven by pipelined ``step`` ops.
 
     Placement decisions, their order, and the teardown-visibility rule
     are identical to :func:`_place_epoch_barrier` — each step's digest
@@ -2009,14 +1664,14 @@ def _place_epoch_steps(group, order, offsets, host_shard, tracker,
     epoch instead of two, and shards speculate into future epochs while
     the coordinator computes.
 
-    ``pipelined`` adds depth-2 streaming: after shipping a batched
-    step, the next epoch's *batchless jump* (when the next arrival sits
-    beyond the epoch just stepped) is sent before the batched step's
-    replies are drained.  The message sequence is provably the serial
-    one — a jump's content is three copies of its barrier, independent
-    of any reply — and every reply is still applied to the tracker
-    before the next placement decision, so the load vector each pick
-    sees is identical.  Only the waiting overlaps.
+    Depth-2 streaming: after shipping a batched step, the next epoch's
+    *batchless jump* (when the next arrival sits beyond the epoch just
+    stepped) is sent before the batched step's replies are drained.
+    The message sequence is the serial one — a jump's content is three
+    copies of its barrier, independent of any reply — and every reply
+    is still applied to the tracker before the next placement decision,
+    so the load vector each pick sees is identical.  Only the waiting
+    overlaps.
     """
     barrier_epoch = 0
     pending = 0
@@ -2040,9 +1695,9 @@ def _place_epoch_steps(group, order, offsets, host_shard, tracker,
         if epoch > barrier_epoch:
             # Jump over empty epochs in one batchless step — no batch
             # means no rollback can trigger; speculating shards simply
-            # commit whatever they ran ahead.  (Pipelined, this branch
-            # only fires for the very first arrival: later jumps were
-            # already streamed right behind their batched step.)
+            # commit whatever they ran ahead.  (This branch only fires
+            # for the very first arrival: later jumps were already
+            # streamed right behind their batched step.)
             barrier = epoch * lookahead
             group.step_send(barrier, barrier, barrier, {})
             pending += 1
@@ -2078,7 +1733,7 @@ def _place_epoch_steps(group, order, offsets, host_shard, tracker,
         group.step_send(barrier, epoch_end, safe, batches)
         pending += 1
         barrier_epoch = epoch + 1
-        if pipelined and position < count:
+        if position < count:
             next_epoch = int(offsets[order[position]] // lookahead)
             if next_epoch > barrier_epoch:
                 # Stream the next jump behind the batched step: its
@@ -2089,8 +1744,6 @@ def _place_epoch_steps(group, order, offsets, host_shard, tracker,
                 group.step_send(jump, jump, jump, {})
                 pending += 1
                 barrier_epoch = next_epoch
-        if not pipelined:
-            drain_replies()
     drain_replies()
 
 

@@ -1,36 +1,31 @@
 """Packed binary wire format for the sharded runner's hot epoch path.
 
-The epoch protocol exchanges two message shapes thousands of times per
-run: coordinator -> worker *step/submit* messages carrying placement
-batches, and worker -> coordinator *delta* replies carrying teardown
-``(time, host_index)`` pairs.  Pickling those tagged tuples is the
-dominant per-epoch cost once the simulation itself is sharded away —
-every message pays pickle's opcode walk, per-object allocation, and
-memo bookkeeping for what is structurally three flat arrays and a
-header.
+The worker protocol exchanges two message shapes thousands of times
+per run: coordinator -> worker *step* messages carrying placement
+batches, and worker -> coordinator *load digest* replies.  Pickling
+those tagged tuples is the dominant per-epoch cost once the simulation
+itself is sharded away — every message pays pickle's opcode walk,
+per-object allocation, and memo bookkeeping for what is structurally a
+few flat arrays and a header.
 
 This module packs exactly those shapes with :mod:`struct` headers and
 :mod:`array` payloads (native byte order — both ends of a pipe are the
 same machine), and falls back to pickle for everything else (drain,
-finish, stop, checkpoint control, error replies: a handful of messages
-per run).  The first byte of every frame discriminates:
+finish, stop, error replies: a handful of messages per run).  The
+first byte of every frame discriminates:
 
 ====  ==============================================================
 tag   frame
 ====  ==============================================================
 ``S`` step: ``barrier, epoch_end, safe`` doubles + batch sections
-``B`` submit: batch sections only (conservative protocol)
-``R`` run_until: one double
-``D`` delta reply: count + times ``array('d')`` + hosts ``array('q')``
 ``L`` load digest: count + hosts ``array('q')`` + counts ``array('q')``
 ``K`` bare ``("ok", None)`` acknowledgement
 ``P`` pickled payload (everything else)
 ``T`` telemetry envelope: inner frame + piggybacked probe records
 ====  ==============================================================
 
-The ``L`` frame is the optimistic/hierarchical step reply: instead of
-every individual ``(time, host)`` teardown pair, the worker ships the
-*digest* — how many containers left each host within the committed
+The ``L`` frame is the step reply: instead of every individual
+``(time, host)`` teardown pair, the worker ships the *digest* — how many containers left each host within the committed
 epoch, as sorted ``(host, freed_count)`` pairs
 (:func:`digest_deltas`).  The coordinator only ever used the deltas to
 decrement its load vector, and every delta in a step reply is applied
@@ -45,7 +40,7 @@ arrays: global container indices (``q``), arrival offsets (``d``), and
 global host indices (``q``).  Floats round-trip exactly through
 ``struct``/``array`` doubles, so the encoding is byte-transparent to
 the placement protocol: decoded messages compare equal to the tuples
-the pickled protocol carried.
+that were encoded.
 
 Telemetry envelope (wall-clock plane, ``repro.obs.runtime``)
 ------------------------------------------------------------
@@ -75,7 +70,6 @@ from array import array
 _HEAD_STEP = struct.Struct("=ddd")
 _HEAD_COUNT = struct.Struct("=I")
 _HEAD_BATCH = struct.Struct("=II")
-_HEAD_WHEN = struct.Struct("=d")
 
 #: Installed :class:`~repro.obs.runtime.RuntimeProbe` for this process
 #: (None = telemetry off: send/recv take the original zero-overhead
@@ -156,7 +150,7 @@ def _unpack_batches(payload, cursor):
         hosts.frombytes(payload[cursor:cursor + 8 * length])
         cursor += 8 * length
         batches[shard_id] = list(zip(indices, offsets, hosts))
-    return batches, cursor
+    return batches
 
 
 def encode(message):
@@ -167,12 +161,6 @@ def encode(message):
         out = [b"S", _HEAD_STEP.pack(barrier, epoch_end, safe)]
         _pack_batches(out, batches)
         return b"".join(out)
-    if op == "submit":
-        out = [b"B"]
-        _pack_batches(out, message[1])
-        return b"".join(out)
-    if op == "run_until":
-        return b"R" + _HEAD_WHEN.pack(message[1])
     if op == "loads" and len(message) == 2:
         digest = message[1]
         hosts = array("q")
@@ -184,48 +172,20 @@ def encode(message):
             b"L", _HEAD_COUNT.pack(len(digest)),
             hosts.tobytes(), counts.tobytes(),
         ))
-    if op == "ok" and len(message) == 2:
-        payload = message[1]
-        if payload is None:
-            return b"K"
-        if isinstance(payload, list) and all(
-            isinstance(item, tuple) and len(item) == 2 for item in payload
-        ):
-            times = array("d")
-            hosts = array("q")
-            for when, host in payload:
-                times.append(when)
-                hosts.append(host)
-            return b"".join((
-                b"D", _HEAD_COUNT.pack(len(payload)),
-                times.tobytes(), hosts.tobytes(),
-            ))
+    if message == ("ok", None):
+        return b"K"
     return b"P" + pickle.dumps(message)
 
 
 def decode(payload):
-    """Bytes -> the exact tagged tuple the pickled protocol carried."""
+    """Bytes -> the exact tagged tuple that was encoded."""
     tag = payload[:1]
     if tag == b"S":
         barrier, epoch_end, safe = _HEAD_STEP.unpack_from(payload, 1)
-        batches, _ = _unpack_batches(payload, 1 + _HEAD_STEP.size)
+        batches = _unpack_batches(payload, 1 + _HEAD_STEP.size)
         return ("step", barrier, epoch_end, safe, batches)
-    if tag == b"B":
-        batches, _ = _unpack_batches(payload, 1)
-        return ("submit", batches)
-    if tag == b"R":
-        return ("run_until", _HEAD_WHEN.unpack_from(payload, 1)[0])
     if tag == b"K":
         return ("ok", None)
-    if tag == b"D":
-        (count,) = _HEAD_COUNT.unpack_from(payload, 1)
-        cursor = 1 + _HEAD_COUNT.size
-        times = array("d")
-        times.frombytes(payload[cursor:cursor + 8 * count])
-        cursor += 8 * count
-        hosts = array("q")
-        hosts.frombytes(payload[cursor:cursor + 8 * count])
-        return ("ok", list(zip(times, hosts)))
     if tag == b"L":
         (count,) = _HEAD_COUNT.unpack_from(payload, 1)
         cursor = 1 + _HEAD_COUNT.size

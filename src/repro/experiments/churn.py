@@ -122,8 +122,9 @@ class Churn(Experiment):
         if hosts > 1:
             from repro.cluster.sharded import resolve_shards
 
-            shards = resolve_shards(self.option("shards", 1), hosts)
             placement = self.option("placement", "least-loaded")
+            shards = resolve_shards(self.option("shards", 1), hosts,
+                                    placement=placement, rate_per_s=rate)
             return [
                 Cell(preset, total, None, seed, kind="cluster", hosts=hosts,
                      placement=placement, shards=shards, rate_per_s=rate)
@@ -214,8 +215,9 @@ class Churn(Experiment):
         hosts = self._hosts()
         from repro.cluster.sharded import resolve_shards
 
-        shards = resolve_shards(self.option("shards", 1), hosts)
         placement = self.option("placement", "least-loaded")
+        shards = resolve_shards(self.option("shards", 1), hosts,
+                                placement=placement, rate_per_s=rate)
         results = {
             preset: self._cell_summary(
                 Cell(preset, total, None, seed, kind="cluster", hosts=hosts,

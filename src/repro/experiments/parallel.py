@@ -53,11 +53,11 @@ class Cell:
     placement: str = "least-loaded"
     shards: int = 1
     rate_per_s: float = 0.0
-    #: Sharded sync protocol ("conservative" / "optimistic" / "auto").
+    #: Sharded sync protocol ("hierarchical" / "conservative").
     #: Results are byte-identical across modes — it keys the cache only
     #: because every field does, keeping the key derivation uniform.
-    sync: str = "conservative"
-    #: Fork-checkpoint cadence for optimistic sharded cells, in
+    sync: str = "hierarchical"
+    #: Fork-checkpoint cadence for sharded worker processes, in
     #: confirmed epochs (None = adaptive, 0 = disabled — rollback then
     #: replays from t=0).  Wall-clock only, byte-identical results; it
     #: keys the cache because every field does.

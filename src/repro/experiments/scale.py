@@ -23,15 +23,15 @@ Two claims are exercised:
 Knobs (``repro run scale --hosts N --placement P --shards K --sync M``
 or :meth:`Experiment.configure`): ``hosts`` (default 8 quick / 48
 full), ``placement`` ("least-loaded" default, or "round-robin"),
-``shards`` (default 1 = single-process), ``sync`` (sharded barrier
-protocol: "conservative" default, "optimistic", "hierarchical" —
-optimistic workers under a relay tree with a pipelined coordinator —
-or "auto", which picks hierarchical), ``rate``
+``shards`` (default 1 = single-process), ``sync`` ("hierarchical"
+default — speculating worker processes under a relay tree with a
+pipelined coordinator — or "conservative", the in-process lockstep
+reference, which runs the shards serially), ``rate``
 (arrival rate per second; 0 = the paper's simultaneous burst —
-positive rates spread arrivals and exercise the epoch protocol the
-sync knob selects), ``checkpoint_every`` (optimistic workers'
-fork-checkpoint cadence in confirmed epochs; empty = adaptive,
-0 = disabled — wall-clock only, results are byte-identical).
+positive rates spread arrivals and exercise the epoch protocol),
+``checkpoint_every`` (the workers' fork-checkpoint cadence in
+confirmed epochs; empty = adaptive, 0 = disabled — wall-clock only,
+results are byte-identical).
 """
 
 from repro.experiments.base import Comparison, Experiment, pct, reduction
@@ -73,7 +73,9 @@ class Scale(Experiment):
         return float(self.option("rate", 0.0) or 0.0)
 
     def _sync(self):
-        return self.option("sync", "conservative")
+        from repro.cluster.sharded import resolve_sync
+
+        return resolve_sync(self.option("sync"))
 
     def _checkpoint_every(self):
         value = self.option("checkpoint_every", None)
@@ -87,7 +89,7 @@ class Scale(Experiment):
 
         return resolve_shards(
             self.option("shards", 1), hosts, placement=self._placement(),
-            rate_per_s=self._rate(), sync=self._sync(),
+            rate_per_s=self._rate(),
         )
 
     @staticmethod

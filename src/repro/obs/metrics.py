@@ -112,7 +112,7 @@ class MetricsRegistry:
 
     def ingest_sync_stats(self, stats, scope="sync"):
         """Fold the sharded runner's protocol counters in (epochs,
-        barrier wait, the optimistic rollback/speculation tallies, and
+        barrier wait, the workers' rollback/speculation tallies, and
         the checkpoint counters/histograms from
         :mod:`repro.cluster.sharded`)."""
         for key, value in stats.items():

@@ -1006,7 +1006,7 @@ class Simulator:
         generator's instruction pointer is not copyable, so resuming a
         restored event against a generator that advanced past its
         snapshot point is undefined.  This is precisely why the sharded
-        cluster's optimistic mode (see ``repro.cluster.sharded``) rolls
+        cluster's worker protocol (see ``repro.cluster.sharded``) rolls
         back by replaying its input journal into a fresh shard instead
         of restoring a snapshot.
 

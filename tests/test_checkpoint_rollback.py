@@ -3,9 +3,9 @@
 The contract under test: copy-on-write fork checkpoints
 (:mod:`repro.cluster.checkpoint`) and the struct-packed wire framing
 (:mod:`repro.cluster.wire`) are wall-clock optimizations only.  Every
-optimistic run — checkpointed, full-replay fallback, spawn-context,
+speculating run — checkpointed, full-replay fallback, spawn-context,
 adversarial rollback storm — must come back byte-identical to the
-conservative single-shard run, and the journal-truncation machinery
+in-process conservative reference, and the journal-truncation machinery
 must never drop or double-apply a committed teardown delta (the
 ``free_vfs_total`` invariant plus byte-identity are the oracle).
 """
@@ -45,45 +45,36 @@ def test_wire_step_round_trips_exactly():
     assert wire.decode(payload) == message
 
 
-def test_wire_submit_and_run_until_round_trip():
-    batches = {1: [(4, 2.25, 9)], 3: []}
-    assert wire.decode(wire.encode(("submit", batches))) == (
-        "submit", batches
-    )
-    assert wire.decode(wire.encode(("run_until", 3.0625))) == (
-        "run_until", 3.0625
-    )
-
-
 def test_wire_delta_reply_and_ack_round_trip():
-    deltas = [(0.001953125, 2), (17.5, 0), (17.5, 11)]
-    payload = wire.encode(("ok", deltas))
-    assert payload[:1] == b"D"
-    assert wire.decode(payload) == ("ok", deltas)
     ack = wire.encode(("ok", None))
     assert ack == b"K"
     assert wire.decode(ack) == ("ok", None)
-    # Empty delta list is still a packed frame, not pickle.
-    empty = wire.encode(("ok", []))
-    assert empty[:1] == b"D"
-    assert wire.decode(empty) == ("ok", [])
+    # Raw teardown deltas are no reply of the worker protocol (steps
+    # answer with ``L`` digests), so a delta list is a cold pickle.
+    deltas = [(0.001953125, 2), (17.5, 0), (17.5, 11)]
+    payload = wire.encode(("ok", deltas))
+    assert payload[:1] == b"P"
+    assert wire.decode(payload) == ("ok", deltas)
 
 
 def test_wire_floats_survive_without_rounding():
-    """Doubles round-trip bit-exactly — the byte-identity gates depend
-    on the wire never perturbing a single timestamp."""
+    """Doubles round-trip bit-exactly through the packed step frame —
+    the byte-identity gates depend on the wire never perturbing a
+    single timestamp."""
     awkward = [0.1, 1 / 3, 2.0 ** -52, 1e300, 123456.789012345]
-    message = ("ok", [(value, index) for index, value in enumerate(awkward)])
+    batch = [(index, value, index) for index, value in enumerate(awkward)]
+    message = ("step", awkward[0], awkward[1], awkward[3], {0: batch})
     decoded = wire.decode(wire.encode(message))
-    for (got, _), expected in zip(decoded[1], awkward):
+    assert decoded[1:4] == (awkward[0], awkward[1], awkward[3])
+    for (_index, got, _host), expected in zip(decoded[4][0], awkward):
         assert got == expected  # exact, not approx
 
 
 def test_wire_cold_messages_fall_back_to_pickle():
-    for message in (("finish", 12.5), ("stop",), ("checkpoint",),
-                    ("resume", 3.5), ("error", "boom"),
+    for message in (("finish", 12.5), ("stop",), ("drain", None),
+                    ("error", "boom"),
                     ("ok", {"not": "a delta list"}),
-                    ("ok", [(1.0, 2), (3.0,)])):  # ragged -> not a D frame
+                    ("ok", [(1.0, 2), (3.0,)])):
         payload = wire.encode(message)
         assert payload[:1] == b"P"
         assert wire.decode(payload) == message
@@ -94,8 +85,8 @@ def test_wire_send_recv_over_a_real_pipe():
     try:
         wire.send(parent, ("step", 0.0, 0.5, 2.5, {0: [(0, 0.0, 1)]}))
         assert wire.recv(child) == ("step", 0.0, 0.5, 2.5, {0: [(0, 0.0, 1)]})
-        wire.send(child, ("ok", [(0.25, 1)]))
-        assert wire.recv(parent) == ("ok", [(0.25, 1)])
+        wire.send(child, ("loads", [(1, 2)]))
+        assert wire.recv(parent) == ("loads", [(1, 2)])
     finally:
         parent.close()
         child.close()
@@ -159,7 +150,6 @@ def test_wire_large_frames_round_trip_over_a_real_pipe():
     batch = [(index, index * 0.5, index % 997) for index in range(6000)]
     messages = [
         ("step", 0.0, 0.5, 2.5, {0: batch, 1: batch}),
-        ("ok", [(index * 0.25, index % 991) for index in range(9000)]),
         ("loads", [(host, host % 7 + 1) for host in range(9000)]),
     ]
     for message in messages:
@@ -271,7 +261,7 @@ def _storm(monkeypatch, **kw):
     stats = {}
     summary = run_sharded_cluster(
         "fastiov", 40, hosts=4, seed=11, shards=2,
-        arrivals=cluster_arrivals(11, 12.0), sync="optimistic",
+        arrivals=cluster_arrivals(11, 12.0), sync="hierarchical",
         eager_speculation=True, engine_stats=stats, **kw,
     )
     return summary, stats
@@ -344,7 +334,7 @@ def test_forced_rollback_never_loses_a_teardown_delta(monkeypatch, seed):
     stats = {}
     summary = run_sharded_cluster(
         "fastiov", 40, hosts=2, seed=seed, shards=2,
-        arrivals=cluster_arrivals(seed, 10.0), sync="optimistic",
+        arrivals=cluster_arrivals(seed, 10.0), sync="hierarchical",
         eager_speculation=True, checkpoint_every=1,
         worker_context="fork", engine_stats=stats,
     )
@@ -362,13 +352,13 @@ def test_adversarial_env_does_not_change_bytes_in_process(monkeypatch):
     monkeypatch.delenv(ADVERSARIAL_ENV, raising=False)
     reference = run_sharded_cluster(
         "fastiov", 30, hosts=4, seed=5, shards=2, workers=0,
-        arrivals=cluster_arrivals(5, 12.0), sync="optimistic",
+        arrivals=cluster_arrivals(5, 12.0), sync="hierarchical",
     )
     monkeypatch.setenv(ADVERSARIAL_ENV, "1")
     stats = {}
     adversarial = run_sharded_cluster(
         "fastiov", 30, hosts=4, seed=5, shards=2, workers=0,
-        arrivals=cluster_arrivals(5, 12.0), sync="optimistic",
+        arrivals=cluster_arrivals(5, 12.0), sync="hierarchical",
         engine_stats=stats,
     )
     assert _bytes(adversarial) == _bytes(reference)

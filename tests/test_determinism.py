@@ -134,7 +134,7 @@ def test_cache_key_covers_every_cell_field():
         "placement": "round-robin",
         "shards": 2,
         "rate_per_s": 15.0,
-        "sync": "optimistic",
+        "sync": "conservative",
         "checkpoint_every": 2,
         "trace": True,
     }

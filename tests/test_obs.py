@@ -352,7 +352,7 @@ def test_sharded_trace_is_byte_identical_in_process():
 def test_ingest_sync_stats_routes_counters_mode_and_wait():
     registry = MetricsRegistry()
     registry.ingest_sync_stats({
-        "mode": "optimistic",              # string -> gauge
+        "mode": "hierarchical",            # string -> gauge
         "epochs": 12,                      # monotone -> counter
         "rollbacks": 3,
         "speculated_events": 4000,
@@ -370,14 +370,14 @@ def test_ingest_sync_stats_routes_counters_mode_and_wait():
         "sync/speculation_commits": 9,
         "sync/throttled_shards": 1,
     }
-    assert snap["gauges"]["sync/mode"] == "optimistic"
+    assert snap["gauges"]["sync/mode"] == "hierarchical"
     assert snap["gauges"]["sync/barrier_wait_s"] == pytest.approx(0.125)
 
 
 def test_sharded_trace_carries_sync_counters_outside_the_timeline():
-    """Optimistic protocol counters ride the trace bundle's metrics
+    """Worker-protocol counters ride the trace bundle's metrics
     (diagnostics), never its tracks — the exported timeline must stay
-    byte-identical to the conservative run's."""
+    byte-identical to the conservative reference's."""
     from repro.cluster import cluster_arrivals
     from repro.cluster.sharded import run_sharded_cluster
 
@@ -392,9 +392,9 @@ def test_sharded_trace_carries_sync_counters_outside_the_timeline():
         return trace, rendered
 
     conservative, trace_cons = dump("conservative")
-    optimistic, trace_opt = dump("optimistic")
-    assert trace_opt == trace_cons
-    counters = optimistic["metrics"]["counters"]
+    speculated, trace_spec = dump("hierarchical")
+    assert trace_spec == trace_cons
+    counters = speculated["metrics"]["counters"]
     assert counters["sync/epochs"] > 0
     assert "sync/rollbacks" in counters
-    assert optimistic["metrics"]["gauges"]["sync/mode"] == "optimistic"
+    assert speculated["metrics"]["gauges"]["sync/mode"] == "hierarchical"

@@ -5,8 +5,10 @@ The contract under test: splitting a cluster over K shard simulators
 Round-robin and burst placements must come back *byte-identical* to the
 single-process run for every K and worker count; spread-arrival
 least-loaded follows the deterministic epoch-barrier protocol, which is
-invariant to K and workers (though intentionally a conservative
-approximation of the single-process schedule).
+invariant to K, workers and sync mode (though intentionally a
+conservative approximation of the single-process schedule).  The
+in-process ``sync="conservative"`` reference is the oracle for those
+cells.
 """
 
 import json
@@ -175,9 +177,11 @@ def test_resolve_shards_auto_respects_threshold_on_big_cells():
 
     from repro.cluster.sharded import MIN_HOSTS_PER_SHARD, resolve_shards
 
+    # 48 hosts clears two floors, so auto always shards — at least
+    # two ways, at most one shard per core beyond that.
     resolved = resolve_shards("auto", 48)
-    assert 1 <= resolved <= 48 // MIN_HOSTS_PER_SHARD
-    assert resolved <= (os.cpu_count() or 1)
+    assert 2 <= resolved <= 48 // MIN_HOSTS_PER_SHARD
+    assert resolved <= max(2, os.cpu_count() or 1)
 
 
 def test_resolve_shards_honors_explicit_counts():
@@ -200,10 +204,27 @@ def test_scale_experiment_resolves_auto_to_single_shard_on_quick_cells():
     assert all(cell.shards == 1 for cell in cells)
 
 
-def test_cli_shards_arg_accepts_auto_and_rejects_junk():
+def test_churn_experiment_resolves_auto_with_its_spread_floor(monkeypatch):
+    """Churn cells are Poisson streams, so ``auto`` must apply the
+    epoch floor (16 hosts/shard), not the burst one, on any machine."""
+    import os as _os
+
+    from repro.experiments import get_experiment
+
+    monkeypatch.setattr(_os, "cpu_count", lambda: 8)
+    for hosts, expected in ((24, 1), (48, 3)):
+        experiment = get_experiment("churn").configure(
+            hosts=hosts, shards="auto"
+        )
+        cells = experiment._cells(quick=True, seed=0)
+        assert cells
+        assert all(cell.shards == expected for cell in cells), hosts
+
+
+def test_cli_shards_arg_accepts_auto_and_rejects_junk(capsys):
     import pytest as _pytest
 
-    from repro.__main__ import shard_count
+    from repro.__main__ import main, shard_count
 
     assert shard_count("auto") == "auto"
     assert shard_count("4") == 4
@@ -211,6 +232,14 @@ def test_cli_shards_arg_accepts_auto_and_rejects_junk():
         shard_count("0")
     with _pytest.raises(Exception):
         shard_count("many")
+    # --sync takes exactly the accepted modes: the removed
+    # "optimistic", the old "auto" and junk are argparse errors.
+    for command in ("run", "trace", "profile", "top"):
+        for bad in ("optimistic", "auto", "yolo"):
+            with _pytest.raises(SystemExit) as exit_info:
+                main([command, "scale", "--sync", bad])
+            assert exit_info.value.code == 2
+            assert "hierarchical" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -236,14 +265,18 @@ def test_poisson_least_loaded_is_invariant_to_shards_and_workers():
 
 def test_poisson_round_robin_matches_single_process_exactly():
     """Round-robin ignores load, so even spread arrivals are placed
-    identically with zero synchronization."""
+    identically with zero synchronization: the plan reaches the worker
+    processes as one step at barrier 0 with ``safe=inf``."""
     base = _bytes(_single("vanilla", 40, hosts=4, seed=6,
                           placement="round-robin", rate_per_s=20.0))
+    stats = {}
     sharded = run_cluster_cell(
         "vanilla", 40, hosts=4, seed=6, placement="round-robin",
-        shards=4, rate_per_s=20.0,
+        shards=4, rate_per_s=20.0, workers=None, engine_stats=stats,
     )
     assert _bytes(sharded) == base
+    assert stats["sync_mode"] == "hierarchical"
+    assert stats["sync_epochs"] == 1
 
 
 def test_poisson_least_loaded_approximation_stays_close():
@@ -313,22 +346,24 @@ def test_shard_worker_failure_surfaces_as_runtime_error():
 
 
 # ----------------------------------------------------------------------
-# Optimistic sync: speculate past the barrier, roll back on conflict
+# The worker protocol: speculate past the barrier, roll back on conflict
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("shards", [2, 4, 8])
 def test_optimistic_burst_is_byte_identical_across_shards(shards):
-    """Burst cells place everything in epoch 0, so optimistic must hit
-    the single-process bytes exactly — speculation only moves clocks."""
+    """Burst cells place everything in epoch 0, so speculating shards
+    (here in-process, where speculation is eager) must hit the
+    single-process bytes exactly — speculation only moves clocks."""
     base = _bytes(_single("fastiov", 80, hosts=8, seed=7))
     sharded = run_cluster_cell(
-        "fastiov", 80, hosts=8, seed=7, shards=shards, sync="optimistic"
+        "fastiov", 80, hosts=8, seed=7, shards=shards, workers=0,
+        sync="hierarchical",
     )
     assert _bytes(sharded) == base
 
 
 def test_optimistic_spread_matches_conservative_exactly():
-    """The committed timeline is the conservative one: same barriers,
-    same batches, same grid — for every shard count and transport."""
+    """The committed timeline is the reference's: same barriers, same
+    batches, same grid — for every shard count and transport."""
     reference = _bytes(run_sharded_cluster(
         "fastiov", 60, hosts=6, seed=9, shards=2, workers=0,
         arrivals=cluster_arrivals(9, 15.0), sync="conservative",
@@ -338,29 +373,29 @@ def test_optimistic_spread_matches_conservative_exactly():
             summary = run_sharded_cluster(
                 "fastiov", 60, hosts=6, seed=9, shards=shards,
                 workers=workers, arrivals=cluster_arrivals(9, 15.0),
-                sync="optimistic",
+                sync="hierarchical",
             )
             assert _bytes(summary) == reference, (
-                f"optimistic diverged at K={shards} workers={workers}"
+                f"hierarchical diverged at K={shards} workers={workers}"
             )
 
 
 def test_forced_rollback_replays_to_identical_results():
-    """In-process optimistic speculates eagerly, so a spread cell is
-    guaranteed to mis-speculate past incoming batches; every rollback
-    must replay to the conservative bytes and be counted."""
+    """In-process speculation is eager, so a spread cell is guaranteed
+    to mis-speculate past incoming batches; every rollback must replay
+    to the reference bytes and be counted."""
     stats = {}
-    optimistic = run_sharded_cluster(
+    speculated = run_sharded_cluster(
         "fastiov", 60, hosts=6, seed=9, shards=3, workers=0,
-        arrivals=cluster_arrivals(9, 15.0), sync="optimistic",
+        arrivals=cluster_arrivals(9, 15.0), sync="hierarchical",
         engine_stats=stats,
     )
     conservative = run_sharded_cluster(
         "fastiov", 60, hosts=6, seed=9, shards=3, workers=0,
         arrivals=cluster_arrivals(9, 15.0), sync="conservative",
     )
-    assert _bytes(optimistic) == _bytes(conservative)
-    assert stats["sync_mode"] == "optimistic"
+    assert _bytes(speculated) == _bytes(conservative)
+    assert stats["sync_mode"] == "hierarchical"
     assert stats["sync_rollbacks"] >= 1
     assert stats["sync_speculated_events"] > 0
     assert stats["sync_replayed_events"] > 0
@@ -372,30 +407,30 @@ def test_optimistic_survives_teardown_racing_last_placement():
     placed.  Speculated teardowns must stay shard-local until their
     epoch commits, and rollbacks must regenerate them exactly."""
     stats = {}
-    optimistic = run_sharded_cluster(
+    speculated = run_sharded_cluster(
         "fastiov", 40, hosts=2, seed=13, shards=2, workers=0,
-        arrivals=cluster_arrivals(13, 10.0), sync="optimistic",
+        arrivals=cluster_arrivals(13, 10.0), sync="hierarchical",
         engine_stats=stats,
     )
     conservative = run_sharded_cluster(
         "fastiov", 40, hosts=2, seed=13, shards=2, workers=0,
         arrivals=cluster_arrivals(13, 10.0), sync="conservative",
     )
-    assert _bytes(optimistic) == _bytes(conservative)
+    assert _bytes(speculated) == _bytes(conservative)
     # The race happened and the pool still recycled completely.
-    assert optimistic["peak_in_flight"] < 40
-    assert optimistic["free_vfs_total"] == 2 * PAPER_TESTBED.nic_max_vfs
+    assert speculated["peak_in_flight"] < 40
+    assert speculated["free_vfs_total"] == 2 * PAPER_TESTBED.nic_max_vfs
     assert stats["sync_rollbacks"] >= 1
 
 
 def test_engine_stats_exports_sync_counters():
     stats = {}
     run_cluster_cell(
-        "fastiov", 30, hosts=4, seed=2, shards=2, sync="optimistic",
+        "fastiov", 30, hosts=4, seed=2, shards=2, sync="hierarchical",
         rate_per_s=12.0, workers=0, engine_stats=stats,
     )
     assert stats["shards"] == 2
-    assert stats["sync_mode"] == "optimistic"
+    assert stats["sync_mode"] == "hierarchical"
     for key in ("sync_epochs", "sync_rollbacks", "sync_speculated_events",
                 "sync_replayed_events", "sync_speculation_commits",
                 "sync_throttled_shards", "sync_barrier_wait_s",
@@ -434,18 +469,21 @@ def test_hierarchical_spread_is_byte_identical_across_shards(shards):
 
 
 @pytest.mark.parametrize("fan_in", [2, 3])
-def test_hierarchical_fan_in_is_results_invariant(fan_in):
-    """8 workers over fan-in 2 or 3 forms a real relay tree (the
+def test_hierarchical_fan_in_is_results_invariant(monkeypatch, fan_in):
+    """8 workers over fan-in 2 or 3 forms a deeper relay tree (the
     default fan-in of 4 covers 8 workers at depth 2 already); tree
     depth must be invisible in the results."""
+    from repro.cluster import sharded
+
     reference = _bytes(run_sharded_cluster(
-        "fastiov", 60, hosts=8, seed=9, shards=8, workers=0,
+        "fastiov", 60, hosts=8, seed=9, shards=8,
         arrivals=cluster_arrivals(9, 15.0), sync="conservative",
     ))
+    # Relays fork from this process, so they inherit the patched value.
+    monkeypatch.setattr(sharded, "RELAY_FAN_IN", fan_in)
     summary = run_sharded_cluster(
         "fastiov", 60, hosts=8, seed=9, shards=8, workers=None,
         arrivals=cluster_arrivals(9, 15.0), sync="hierarchical",
-        fan_in=fan_in,
     )
     assert _bytes(summary) == reference
 
@@ -455,15 +493,18 @@ def test_hierarchical_rollback_storm_is_byte_identical(monkeypatch):
     pinned open) hammers the checkpoint handover *through the relay
     tree*: conflicts swap worker processes mid-run while up to two
     step requests ride the inherited pipes."""
+    from repro.cluster import sharded
+
     reference = _bytes(run_sharded_cluster(
-        "fastiov", 60, hosts=8, seed=9, shards=2, workers=0,
+        "fastiov", 60, hosts=8, seed=9, shards=2,
         arrivals=cluster_arrivals(9, 15.0), sync="conservative",
     ))
     monkeypatch.setenv("REPRO_OPTIMISTIC_ADVERSARIAL_SAFE", "1")
+    monkeypatch.setattr(sharded, "RELAY_FAN_IN", 2)
     summary = run_sharded_cluster(
         "fastiov", 60, hosts=8, seed=9, shards=8, workers=None,
         arrivals=cluster_arrivals(9, 15.0), sync="hierarchical",
-        fan_in=2, checkpoint_every=1,
+        checkpoint_every=1,
     )
     assert _bytes(summary) == reference
 
@@ -471,7 +512,7 @@ def test_hierarchical_rollback_storm_is_byte_identical(monkeypatch):
 def test_engine_stats_export_coordinator_occupancy():
     """The coordinator's occupancy split and the placement tracker's
     heap traffic ride the sync stats for every epoch-protocol cell."""
-    for sync in ("conservative", "optimistic", "hierarchical"):
+    for sync in ("conservative", "hierarchical"):
         stats = {}
         run_sharded_cluster(
             "fastiov", 40, hosts=8, seed=2, shards=2, workers=0,
@@ -568,70 +609,63 @@ def test_coordinator_trace_track_is_opt_in(monkeypatch):
 # resolve_shards / resolve_sync decision tables
 # ----------------------------------------------------------------------
 def test_resolve_shards_auto_decision_table(monkeypatch):
-    """Pin the placement-plan-aware floors: auto must never pick a
-    sharded config that benches slower than --shards 1 for the cell's
-    synchronization needs (the epoch protocol pays 1-2 round-trips per
-    epoch; zero-sync plans pay none)."""
+    """Pin the placement-plan-aware floors: up-front plans split at 8
+    hosts per shard, the epoch protocol at 16; a cell below two floors
+    stays single-process."""
     import os as _os
 
     from repro.cluster import sharded as mod
 
     monkeypatch.setattr(_os, "cpu_count", lambda: 8)
     table = [
-        # (placement, rate, sync, hosts) -> expected
-        ("round-robin", 150.0, "conservative", 64, 8),   # floor 8
-        ("least-loaded", 0.0, "conservative", 64, 8),    # burst: floor 8
-        ("least-loaded", 150.0, "conservative", 64, 2),  # epoch: floor 32
-        ("least-loaded", 150.0, "optimistic", 64, 4),    # overlap: floor 16
-        ("least-loaded", 150.0, "hierarchical", 64, 4),  # same floor as opt.
-        ("least-loaded", 150.0, "auto", 64, 4),          # auto -> hierarchical
-        # Below the floor every plan degrades to single-shard.
-        ("least-loaded", 150.0, "conservative", 48, 1),
-        ("least-loaded", 150.0, "optimistic", 8, 1),
-        ("least-loaded", 150.0, "hierarchical", 8, 1),
-        ("round-robin", 150.0, "hierarchical", 64, 8),   # zero-sync floor 8
-        ("round-robin", 150.0, "conservative", 8, 1),
+        # (placement, rate, hosts) -> expected
+        ("round-robin", 150.0, 64, 8),    # floor 8
+        ("least-loaded", 0.0, 64, 8),     # burst: floor 8
+        ("least-loaded", 150.0, 64, 4),   # epoch: floor 16
+        ("least-loaded", 150.0, 48, 3),   # epoch: floor 16
+        # Below two floors every plan degrades to single-shard.
+        ("least-loaded", 150.0, 31, 1),
+        ("least-loaded", 150.0, 8, 1),
+        ("round-robin", 150.0, 8, 1),
     ]
-    for placement, rate, sync, hosts, expected in table:
+    for placement, rate, hosts, expected in table:
         resolved = mod.resolve_shards(
-            "auto", hosts, placement=placement, rate_per_s=rate, sync=sync
+            "auto", hosts, placement=placement, rate_per_s=rate
         )
         assert resolved == expected, (
-            f"auto({placement}, rate={rate}, sync={sync}, hosts={hosts}) "
+            f"auto({placement}, rate={rate}, hosts={hosts}) "
             f"= {resolved}, expected {expected}"
         )
 
 
 def test_resolve_shards_auto_caps_at_cpu_count(monkeypatch):
     """More shards than cores just multiplies barrier latency, so auto
-    is capped by ``os.cpu_count()`` whatever the placement plan."""
+    is capped by ``os.cpu_count()`` — but never below two once the
+    cell is big enough to shard at all."""
     import os as _os
 
     from repro.cluster import sharded as mod
 
     monkeypatch.setattr(_os, "cpu_count", lambda: 2)
     table = [
-        # (placement, rate, sync, hosts) -> expected under 2 cores
-        ("round-robin", 150.0, "conservative", 64, 2),   # 64//8=8 -> cap 2
-        ("least-loaded", 0.0, "conservative", 256, 2),   # 256//8=32 -> cap 2
-        ("least-loaded", 150.0, "optimistic", 64, 2),    # 64//16=4 -> cap 2
-        ("least-loaded", 150.0, "hierarchical", 64, 2),  # 64//16=4 -> cap 2
-        ("least-loaded", 150.0, "conservative", 64, 2),  # 64//32=2 at cap
-        ("least-loaded", 150.0, "optimistic", 16, 1),    # floor binds first
-        ("least-loaded", 150.0, "hierarchical", 16, 1),  # floor binds first
+        # (placement, rate, hosts) -> expected under 2 cores
+        ("round-robin", 150.0, 64, 2),    # 64//8=8 -> cap 2
+        ("least-loaded", 0.0, 256, 2),    # 256//8=32 -> cap 2
+        ("least-loaded", 150.0, 64, 2),   # 64//16=4 -> cap 2
+        ("least-loaded", 150.0, 16, 1),   # floor binds first
     ]
-    for placement, rate, sync, hosts, expected in table:
+    for placement, rate, hosts, expected in table:
         resolved = mod.resolve_shards(
-            "auto", hosts, placement=placement, rate_per_s=rate, sync=sync
+            "auto", hosts, placement=placement, rate_per_s=rate
         )
         assert resolved == expected, (
-            f"auto({placement}, rate={rate}, sync={sync}, hosts={hosts}) "
+            f"auto({placement}, rate={rate}, hosts={hosts}) "
             f"= {resolved}, expected {expected} under cpu_count=2"
         )
     # cpu_count() may legitimately return None: treat it as one core.
     monkeypatch.setattr(_os, "cpu_count", lambda: None)
     assert mod.resolve_shards("auto", 256, placement="round-robin",
-                              rate_per_s=150.0) == 1
+                              rate_per_s=150.0) == 2
 
 
 def test_resolve_shards_auto_spread_never_beats_its_floor(monkeypatch):
@@ -640,50 +674,102 @@ def test_resolve_shards_auto_spread_never_beats_its_floor(monkeypatch):
     from repro.cluster import sharded as mod
 
     monkeypatch.setattr(_os, "cpu_count", lambda: 64)
+    floor = mod.MIN_HOSTS_PER_SHARD_EPOCH
     for hosts in range(1, 129):
-        for sync, floor in (("conservative", mod.MIN_HOSTS_PER_SHARD_EPOCH),
-                            ("optimistic",
-                             mod.MIN_HOSTS_PER_SHARD_OPTIMISTIC),
-                            ("hierarchical",
-                             mod.MIN_HOSTS_PER_SHARD_HIERARCHICAL)):
-            resolved = mod.resolve_shards(
-                "auto", hosts, placement="least-loaded",
-                rate_per_s=100.0, sync=sync,
-            )
-            assert resolved == 1 or hosts // resolved >= floor
+        resolved = mod.resolve_shards(
+            "auto", hosts, placement="least-loaded", rate_per_s=100.0,
+        )
+        assert resolved == 1 or hosts // resolved >= floor
+
+
+def test_resolve_shards_auto_side_of_one_ignores_cpu_count(monkeypatch):
+    """K=1 (the single-process cluster) and K>=2 (the epoch grid) give
+    different results on spread least-loaded cells, so whether auto
+    shards at all must not depend on the machine: a 48-host spread
+    cell is sharded under 1, 2 and 8 cores alike."""
+    import os as _os
+
+    from repro.cluster import sharded as mod
+
+    for cpus in (1, 2, 8):
+        monkeypatch.setattr(_os, "cpu_count", lambda cpus=cpus: cpus)
+        resolved = mod.resolve_shards(
+            "auto", 48, placement="least-loaded", rate_per_s=150.0
+        )
+        assert resolved >= 2, f"cpu_count={cpus} resolved to {resolved}"
+
+
+def test_shards_auto_bytes_ignore_sync_and_cpu_count(monkeypatch):
+    """End to end: ``shards="auto"`` on a spread least-loaded cell gives
+    one summary under every accepted sync mode and core count."""
+    import os as _os
+
+    summaries = set()
+    for cpus in (1, 8):
+        monkeypatch.setattr(_os, "cpu_count", lambda cpus=cpus: cpus)
+        for sync in ("hierarchical", "conservative"):
+            summaries.add(_bytes(run_cluster_cell(
+                "fastiov", 40, hosts=48, seed=4, shards="auto",
+                rate_per_s=20.0, sync=sync, workers=0,
+            )))
+    assert len(summaries) == 1
 
 
 def test_resolve_sync_decision_table():
-    from repro.cluster.sharded import resolve_sync
+    from repro.cluster.sharded import SYNC_MODES, resolve_sync
 
-    assert resolve_sync(None) == "conservative"
-    assert resolve_sync(None, shards=8) == "conservative"
-    # No barrier to speculate past -> conservative, whatever was asked.
-    assert resolve_sync("optimistic", shards=1) == "conservative"
-    assert resolve_sync("optimistic", shards=4,
-                        placement="round-robin") == "conservative"
-    assert resolve_sync("auto", shards=1) == "conservative"
-    assert resolve_sync("hierarchical", shards=1) == "conservative"
-    assert resolve_sync("hierarchical", shards=4,
-                        placement="round-robin") == "conservative"
-    # The epoch protocol runs: requests are honored, auto goes fast —
-    # the relay tree + pipelined coordinator, whose worker side is the
-    # optimistic protocol and whose results are byte-identical.
-    assert resolve_sync("optimistic", shards=4) == "optimistic"
-    assert resolve_sync("conservative", shards=4) == "conservative"
-    assert resolve_sync("hierarchical", shards=4) == "hierarchical"
-    assert resolve_sync("auto", shards=4) == "hierarchical"
-    with pytest.raises(ValueError):
-        resolve_sync("yolo", shards=4)
+    # hierarchical is the default; both modes are honored for every
+    # cell — conservative always means the in-process reference.
+    assert SYNC_MODES[0] == "hierarchical"
+    assert resolve_sync(None) == "hierarchical"
+    assert resolve_sync("hierarchical") == "hierarchical"
+    assert resolve_sync("conservative") == "conservative"
+    # Removed and unknown modes fail at the boundary, naming the
+    # valid ones.
+    for bad in ("optimistic", "auto", "yolo", ""):
+        with pytest.raises(ValueError, match="hierarchical, conservative"):
+            resolve_sync(bad)
+    for entry in (run_cluster_cell, run_sharded_cluster):
+        with pytest.raises(ValueError, match="valid modes"):
+            entry("fastiov", 4, hosts=2, shards=2, sync="optimistic")
 
 
 def test_scale_experiment_threads_sync_into_cells():
     from repro.experiments import get_experiment
 
     experiment = get_experiment("scale").configure(
-        shards=4, sync="optimistic", rate=150.0
+        shards=4, sync="conservative", rate=150.0
     )
     cells = experiment._cells(quick=True, seed=0)
     assert cells
-    assert all(cell.sync == "optimistic" for cell in cells)
+    assert all(cell.sync == "conservative" for cell in cells)
     assert all(cell.rate_per_s == 150.0 for cell in cells)
+    default = get_experiment("scale").configure(shards=4)
+    assert all(cell.sync == "hierarchical"
+               for cell in default._cells(quick=True, seed=0))
+    removed = get_experiment("scale").configure(sync="optimistic")
+    with pytest.raises(ValueError):
+        removed._cells(quick=True, seed=0)
+
+
+def test_conservative_reference_starts_no_worker(monkeypatch):
+    """``sync="conservative"`` is the in-process reference whatever
+    ``workers`` says: it must never reach the worker spawn path."""
+    from repro.cluster import sharded
+
+    def no_spawn(*_args, **_kwargs):
+        raise AssertionError("conservative reference spawned a worker")
+
+    monkeypatch.setattr(sharded, "_spawn_workers", no_spawn)
+    for placement in ("least-loaded", "round-robin"):
+        stats = {}
+        summary = run_sharded_cluster(
+            "fastiov", 30, hosts=4, seed=2, shards=2, workers=2,
+            placement=placement, arrivals=cluster_arrivals(2, 12.0),
+            sync="conservative", engine_stats=stats,
+        )
+        assert summary["count"] == 30
+        assert stats["sync_mode"] == "conservative"
+    with pytest.raises(AssertionError, match="spawned a worker"):
+        run_sharded_cluster("fastiov", 4, hosts=2, shards=2,
+                            sync="hierarchical")

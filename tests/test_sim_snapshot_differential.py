@@ -1,6 +1,6 @@
 """Differential property test: snapshot → speculate → restore → replay.
 
-The optimistic sharded protocol's correctness rests on one primitive:
+The sharded worker protocol's correctness rests on one primitive:
 rolling an engine back must leave *no trace* of the speculated work.
 These tests drive randomized callback/timer workloads to a cut point,
 snapshot the engine (checkpointing the plain-data model state

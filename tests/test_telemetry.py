@@ -234,10 +234,10 @@ def test_telemetry_envelope_without_sink_still_decodes():
 
 def test_plain_send_has_no_envelope():
     parent, child = multiprocessing.Pipe()
-    wire.send(parent, ("run_until", 2.5))
+    wire.send(parent, ("step", 2.5, 2.5, 2.5, {}))
     raw = child.recv_bytes()
-    assert raw[:1] == b"R"
-    assert wire.decode(raw) == ("run_until", 2.5)
+    assert raw[:1] == b"S"
+    assert wire.decode(raw) == ("step", 2.5, 2.5, 2.5, {})
     parent.close(), child.close()
 
 
@@ -317,13 +317,15 @@ def _assert_trace_shape(doc, expect_processes):
 
 @pytest.mark.parametrize("shards,sync,expect", [
     (1, "conservative", 1),
-    (4, "conservative", 5),
-    (4, "optimistic", 5),
+    # The conservative reference runs every shard in-process: the
+    # coordinator is the only process.
+    (4, "conservative", 1),
+    (4, "hierarchical", 5),
 ])
 def test_dual_clock_trace_shape(shards, sync, expect):
     doc = _dual_clock_case(shards, sync)
     pids, threads = _assert_trace_shape(doc, expect)
-    if shards > 1:
+    if expect > 1:
         workers = [n for n in pids.values() if n.startswith("worker")]
         assert len(workers) == shards
         # virtual tracks distribute across worker process groups via
@@ -336,7 +338,7 @@ def test_dual_clock_trace_shape(shards, sync, expect):
 def test_dual_clock_trace_without_bundle():
     telemetry = {}
     run_cluster_cell("fastiov", 24, hosts=8, seed=3, shards=4,
-                     rate_per_s=6.0, sync="optimistic",
+                     rate_per_s=6.0, sync="hierarchical",
                      telemetry=telemetry)
     doc = to_dual_clock_trace(telemetry)
     names = {e["args"]["name"] for e in doc["traceEvents"]
@@ -363,7 +365,7 @@ def test_write_dual_clock_trace_deterministic_json(tmp_path):
 # ----------------------------------------------------------------------
 # invariance: probes must never change results
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("sync,shards", [("optimistic", 4),
+@pytest.mark.parametrize("sync,shards", [("hierarchical", 4),
                                          ("hierarchical", 8)])
 def test_probe_invariance(monkeypatch, sync, shards):
     kwargs = dict(hosts=16, seed=5, shards=shards, rate_per_s=6.0,
@@ -377,7 +379,7 @@ def test_probe_invariance(monkeypatch, sync, shards):
 
 def test_telemetry_param_does_not_change_summary():
     kwargs = dict(hosts=4, seed=2, shards=2, rate_per_s=6.0,
-                  sync="conservative")
+                  sync="hierarchical")
     plain = run_cluster_cell("fastiov", 24, **kwargs)
     telemetry = {}
     probed = run_cluster_cell("fastiov", 24, telemetry=telemetry,
@@ -401,8 +403,7 @@ def test_single_process_telemetry():
 # ----------------------------------------------------------------------
 # LAST_TRACE across sync modes (the hierarchical regression)
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("sync", ["conservative", "optimistic",
-                                  "hierarchical"])
+@pytest.mark.parametrize("sync", ["conservative", "hierarchical"])
 def test_last_trace_survives_every_sync_mode(sync):
     shards = 8 if sync == "hierarchical" else 2
     cell = Cell("fastiov", 24, kind="cluster", hosts=16, seed=5,
@@ -414,7 +415,7 @@ def test_last_trace_survives_every_sync_mode(sync):
 
 def test_last_telemetry_side_channel(monkeypatch):
     cell = Cell("fastiov", 24, kind="cluster", hosts=8, seed=3,
-                shards=2, rate_per_s=6.0, sync="optimistic")
+                shards=2, rate_per_s=6.0, sync="hierarchical")
     monkeypatch.delenv("REPRO_RUNTIME_PROBES", raising=False)
     run_cell(cell)
     assert parallel.LAST_TELEMETRY is None
