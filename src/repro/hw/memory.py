@@ -12,7 +12,9 @@ than O(pages) — ≈131k frames for a fully-loaded 256 GiB host collapse
 into a handful of spans.  Per-page state mutations split a run at the
 page boundary ("split-on-write") and re-coalesce equal-state neighbours
 afterwards, so the representation stays compact under page-granular
-traffic (EPT faults, ROM loads).
+traffic (EPT faults, ROM loads).  In-order traffic whose left
+neighbour already holds the new state (fastiovd's scanner zeroing
+front to back) just shifts the run boundary by one page.
 
 The per-page view — :class:`Page` — is preserved as the unit the rest
 of the kernel model speaks: a small identity-stable handle that resolves
@@ -403,11 +405,49 @@ class AllocatedRegion:
         run = self._runs[i]
         if run.content is content and run.content_tag == tag:
             return
+        if run.hpa == hpa and i > 0:
+            left = self._runs[i - 1]
+            if (left.content is content and left.content_tag == tag
+                    and left.hpa + left.nbytes == hpa
+                    and left.pin_count == run.pin_count
+                    and left.owner == run.owner):
+                self._shift_edge(i)
+                return
         lo, hi = self._isolate_span(hpa, hpa + self.page_size)
         target = self._runs[lo]
         target.content = content
         target.content_tag = tag
         self._merge_around(lo, hi)
+
+    def _shift_edge(self, i):
+        """Hand run ``i``'s first page to its left neighbour.
+
+        The fast path of :meth:`_set_content` for in-order page traffic
+        (the fastiovd scanner zeroes pages front to back): the left
+        neighbour already holds the page's new state, so moving the
+        boundary one page right yields exactly the runs that split,
+        set and merge would, in O(1) unless the move empties the run:
+        then it is deleted and the neighbour coalesces with the next run
+        if their states match.
+        """
+        runs = self._runs
+        left = runs[i - 1]
+        run = runs[i]
+        size = self.page_size
+        left.nbytes += size
+        if run.nbytes > size:
+            run.hpa += size
+            run.nbytes -= size
+            self._starts[i] = run.hpa
+            return
+        del runs[i]
+        del self._starts[i]
+        if i < len(runs):
+            nxt = runs[i]
+            if left.hpa + left.nbytes == nxt.hpa and left.state_equals(nxt):
+                left.nbytes += nxt.nbytes
+                del runs[i]
+                del self._starts[i]
 
     def _adjust_pin(self, hpa, delta):
         lo, hi = self._isolate_span(hpa, hpa + self.page_size)
@@ -452,7 +492,16 @@ class AllocatedRegion:
         return tags
 
     def zero_hpa_span(self, start, end):
-        """ZERO-fill the frames in [start, end) (one contiguous stretch)."""
+        """ZERO-fill the frames in [start, end) (one contiguous stretch).
+
+        A one-page span takes the page-granular path (the same one
+        :meth:`Page.zero` takes), so zeroing pages in address order
+        shifts a run edge instead of splitting and re-merging, and needs
+        no cached :class:`Page` view.
+        """
+        if end - start == self.page_size:
+            self._set_content(start, PageContent.ZERO, None)
+            return
         lo, hi = self._isolate_span(start, end)
         for run in self._runs[lo:hi]:
             run.content = PageContent.ZERO

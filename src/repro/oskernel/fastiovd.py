@@ -15,18 +15,22 @@ Holds the machinery for decoupled (lazy) page zeroing:
   let the guest proceed.
 * A **background scanner** daemon that drains remaining table entries
   during idle/overlappable time, bounded to ``fastiovd_scan_workers``
-  cores so it cannot starve foreground startup work.
+  cores so it cannot starve foreground startup work.  Its workers are
+  callback objects the engine resumes like processes (one step per
+  page job), not generator processes.
 
 Concurrency safety: a page is *claimed* (removed from the table and
-given an in-flight completion event) before any zeroing starts, so a
-simultaneous EPT fault waits on the in-flight event rather than racing
-with the scanner — the guest can never observe a page that is neither
-residual-protected nor fully zeroed.
+entered in the in-flight map) before any zeroing starts, so a
+simultaneous EPT fault waits for the in-flight zeroing rather than
+racing with the scanner — the guest can never observe a page that is
+neither residual-protected nor fully zeroed.  The completion event of a
+claim is built only when somebody actually has to wait for it.
 """
 
 import bisect
+from functools import partial
 
-from repro.sim.core import Timeout
+from repro.sim.core import Join, Timeout
 from repro.sim.sync import SimEvent
 
 
@@ -137,6 +141,36 @@ class _SpanTable:
         return sum(span[1] - span[0] for span in self._spans)
 
 
+class _ShareWorker:
+    """One scanner worker zeroing its share of a claimed chunk.
+
+    Stands in for a daemon process without a generator: the engine
+    resumes it through ``_on_resume`` exactly where it would resume a
+    process (its start entry in the ready ring, then one completion per
+    page job on the shared DRAM socket), and each resume runs one step
+    of :meth:`Fastiovd._zero_share`.  ``finished``, ``result`` and
+    ``_joiners`` follow the :class:`repro.sim.core.Process` protocol, so
+    the scanner joins it with the ordinary :class:`Join` command.
+    """
+
+    __slots__ = ("name", "share", "pos", "finished", "result", "_joiners",
+                 "_on_resume")
+
+    def __init__(self, fastiovd, share, name):
+        self.name = name
+        self.share = share
+        #: Index of the next page to admit; ``pos - 1`` is the page
+        #: whose job is running.
+        self.pos = 0
+        self.finished = False
+        self.result = None
+        self._joiners = []
+        self._on_resume = partial(fastiovd._zero_share, self)
+
+    def join(self):
+        return Join(self)
+
+
 class FastiovdStats:
     """Counters reported by experiments and asserted by tests."""
 
@@ -180,7 +214,9 @@ class Fastiovd:
         #: (set by Host._wire_trace when tracing is on).
         self.probe_owner = None
         self._pending = {}  # pid -> _SpanTable (payload: AllocatedRegion)
-        self._inflight = {}  # (pid, hpa) -> SimEvent (claimed pages)
+        #: (pid, hpa) -> completion SimEvent of a claimed page, or None
+        #: until somebody waits for it (see :meth:`_inflight_event`).
+        self._inflight = {}
         self._instant = {}  # pid -> set of hpas on the instant list
         self.stats = FastiovdStats()
         self._scanner_enabled = start_scanner
@@ -283,7 +319,25 @@ class Fastiovd:
     # queries
     # ------------------------------------------------------------------
     def _inflight_event(self, pid, hpa):
-        return self._inflight.get((pid, hpa))
+        """The completion event of an in-flight claim, or None if the
+        page is not claimed.  Built on first demand: almost no claim is
+        ever waited for, and an event nobody waits on would trigger
+        without enqueueing anything."""
+        key = (pid, hpa)
+        inflight = self._inflight
+        if key not in inflight:
+            return None
+        event = inflight[key]
+        if event is None:
+            event = inflight[key] = SimEvent(
+                self._sim, name=f"zeroing-{pid}-{hpa:#x}"
+            )
+        return event
+
+    def _finish_claim(self, key):
+        event = self._inflight.pop(key)
+        if event is not None:
+            event.trigger()
 
     def manages(self, pid, page):
         table = self._pending.get(pid)
@@ -326,15 +380,13 @@ class Fastiovd:
         if not table:
             self._pending.pop(pid, None)
         key = (pid, page.hpa)
-        event = SimEvent(self._sim, name=f"zeroing-{pid}-{page.hpa:#x}")
-        self._inflight[key] = event
+        self._inflight[key] = None
         # Fault-path zeroing is cache-adjacent to the guest's first use
         # and much cheaper than a bulk clear — but it still shares the
         # memory controller with the background scanner's bulk work.
         yield self._dram.work(self._spec.fault_zeroing_cpu_seconds(page.size))
         page.zero()
-        del self._inflight[key]
-        event.trigger()
+        self._finish_claim(key)
         self.stats.fault_zeroed_pages += 1
 
     # ------------------------------------------------------------------
@@ -371,17 +423,17 @@ class Fastiovd:
             # worker is one single-threaded zeroing job on the shared
             # CPU, so interference is capped at scan_workers cores.
             workers = min(spec.fastiovd_scan_workers, len(claimed))
-            shares = [claimed[i::workers] for i in range(workers)]
-            procs = [
-                self._sim.spawn(
-                    self._zero_share(share),
-                    name=f"{self.name}-worker-{i}",
-                    daemon=True,
-                )
-                for i, share in enumerate(shares)
-            ]
-            for proc in procs:
-                yield proc.join()
+            ready = self._sim._ready
+            pool = []
+            for i in range(workers):
+                worker = _ShareWorker(self, claimed[i::workers],
+                                      f"{self.name}-worker-{i}")
+                if trace is not None:
+                    trace.process_spawned(worker)
+                ready.append((worker._on_resume, (None,)))
+                pool.append(worker)
+            for worker in pool:
+                yield worker.join()
             if trace is not None:
                 trace.end(trace.current_track())
                 trace.sample_probes(self.probe_owner)
@@ -390,11 +442,12 @@ class Fastiovd:
         """Claim up to a chunk of pending pages, oldest microVM first.
 
         The pending *table* is span-granular, but the scanner's claims
-        are per page (with a per-page in-flight event): a chunk is at
-        most ``budget_bytes``, so the expansion is small and bounded,
-        and a racing EPT fault waits only for its own page's zeroing.
+        are per page, ``((pid, hpa), region)``: a chunk is at most
+        ``budget_bytes``, so the expansion is small and bounded, and a
+        racing EPT fault waits only for its own page's zeroing.
         """
         claimed = []
+        inflight = self._inflight
         budget = budget_bytes
         for pid in list(self._pending):
             if budget <= 0:
@@ -404,23 +457,47 @@ class Fastiovd:
                 budget -= end - start
                 for hpa in range(start, end, region.page_size):
                     key = (pid, hpa)
-                    event = SimEvent(self._sim, name=f"zeroing-{pid}-{hpa:#x}")
-                    self._inflight[key] = event
-                    claimed.append((key, region.page_view(hpa), event))
+                    inflight[key] = None
+                    claimed.append((key, region))
             if not table:
                 self._pending.pop(pid, None)
         return claimed
 
-    def _zero_share(self, share):
-        trace = self._sim.trace
-        if trace is not None:
-            trace.begin(trace.current_track(), "zero-share")
-        for key, page, event in share:
-            yield self._dram.work(self._spec.zeroing_cpu_seconds(page.size))
-            page.zero()
-            del self._inflight[key]
-            event.trigger()
+    def _zero_share(self, worker, _value):
+        """One step of a share worker: the body of a scanner worker.
+
+        The first step opens the ``zero-share`` span; every later step
+        is a page job's completion, which zeroes the page and ends its
+        claim.  Each step then admits the next page's job on the DRAM
+        socket, or finishes the worker and resumes its joiners the way
+        a finished process does.
+        """
+        sim = self._sim
+        share = worker.share
+        pos = worker.pos
+        trace = sim.trace
+        if pos:
+            key, region = share[pos - 1]
+            hpa = key[1]
+            region.zero_hpa_span(hpa, hpa + region.page_size)
+            self._finish_claim(key)
             self.stats.background_zeroed_pages += 1
+        elif trace is not None:
+            trace.begin(worker.name, "zero-share")
+        if pos < len(share):
+            worker.pos = pos + 1
+            size = share[pos][1].page_size
+            self._dram.work(self._spec.zeroing_cpu_seconds(size)).subscribe(
+                sim, worker
+            )
+            return
+        worker.finished = True
+        if trace is not None:
+            trace.process_finished(worker)
+        ready = sim._ready
+        for waiter in worker._joiners:
+            ready.append((waiter._on_resume, (None,)))
+        worker._joiners = []
 
     def __repr__(self):
         return (

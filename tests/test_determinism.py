@@ -178,3 +178,29 @@ def test_corrupt_cache_entry_falls_back_to_fresh_run(tmp_path):
     fresh = run_cell(cell)
     got = rerun.summary(cell.preset, cell.concurrency, seed=cell.seed)
     assert got == pytest.approx(fresh)
+
+
+def test_fastiov_cell_matches_pinned_golden():
+    """Pinned values of one fastiov cell (60 startups, seed 5).
+
+    Every other check here compares two runs of the same code; this one
+    compares against numbers recorded before the fastiovd scanner moved
+    from generator processes to callback share workers, so any drift in
+    event count, zeroing attribution or startup times fails loudly.
+    """
+    from repro.experiments.runs import launch_preset
+
+    host, result = launch_preset("fastiov", 60, seed=5)
+    stats = host.fastiovd.stats
+    assert host.sim.events_dispatched == 49764
+    assert (
+        stats.registered_pages,
+        stats.instant_pages,
+        stats.fault_zeroed_pages,
+        stats.background_zeroed_pages,
+    ) == (15360, 1440, 332, 12424)
+    assert stats.fault_wait_events == 4
+    startup = result.startup_times()
+    assert startup.count == 60
+    assert startup.mean == 1.6540381091894933
+    assert startup.p99 == 2.436932933905095

@@ -1,10 +1,10 @@
 """Property-based tests for the page-frame allocator (hypothesis)."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.hw.errors import OutOfMemory
-from repro.hw.memory import PhysicalMemory
+from repro.hw.errors import HardwareError, OutOfMemory
+from repro.hw.memory import PageContent, PhysicalMemory
 
 PAGE = 4096
 TOTAL_PAGES = 64
@@ -233,3 +233,78 @@ def test_runs_stay_sorted_disjoint_and_maximally_coalesced(sizes, writes):
             page = region.page_at_index(i)
             assert region.page_at_index(i) is page
             assert mem.page_at(page.hpa) is page
+
+
+REGION_PAGES = 10
+
+page_ops_strategy = st.lists(
+    st.tuples(
+        st.sampled_from(["zero", "zero_span", "write", "pin", "unpin"]),
+        st.integers(min_value=0, max_value=REGION_PAGES - 1),
+        st.sampled_from(["a", "b"]),
+    ),
+    max_size=80,
+)
+
+
+@given(page_ops_strategy)
+@example([("zero", 0, "a"), ("zero", 2, "a"), ("zero", 1, "a")])
+@example([("write", 3, "a"), ("zero", 2, "a"), ("zero", 3, "a"),
+          ("zero", 4, "a")])
+@example([("pin", 5, "a"), ("zero", 4, "a"), ("zero", 5, "a"),
+          ("unpin", 5, "a")])
+@settings(max_examples=300, deadline=None)
+def test_page_mutations_match_a_per_page_model(ops):
+    """Single-page zero/write/pin/unpin against a per-page dict model.
+
+    Covers both run-edge outcomes of in-order zeroing: a boundary shift,
+    and a one-page run that empties into its left neighbour and then
+    merges with the run after it (the first two examples).
+    """
+    mem = PhysicalMemory(16 * PAGE, PAGE)
+    region = mem.allocate(REGION_PAGES * PAGE, owner="w")
+    base = region.runs[0].hpa
+    model = {
+        i: (PageContent.RESIDUAL, None, 0) for i in range(REGION_PAGES)
+    }
+    for kind, index, tag in ops:
+        content, old_tag, pins = model[index]
+        page = region.page_at_index(index)
+        if kind == "zero":
+            page.zero()
+            model[index] = (PageContent.ZERO, None, pins)
+        elif kind == "zero_span":
+            hpa = base + index * PAGE
+            region.zero_hpa_span(hpa, hpa + PAGE)
+            model[index] = (PageContent.ZERO, None, pins)
+        elif kind == "write":
+            page.write(tag)
+            model[index] = (PageContent.DATA, tag, pins)
+        elif kind == "pin":
+            page.pin()
+            model[index] = (content, old_tag, pins + 1)
+        elif pins:
+            page.unpin()
+            model[index] = (content, old_tag, pins - 1)
+        else:
+            try:
+                page.unpin()
+            except HardwareError:
+                pass
+            else:
+                raise AssertionError("unpin of an unpinned page succeeded")
+
+        runs = region.runs
+        assert [run.hpa for run in runs] == region._starts
+        assert runs[0].hpa == base
+        assert runs[-1].end == base + REGION_PAGES * PAGE
+        for a, b in zip(runs, runs[1:]):
+            # One batch: sorted, disjoint and gap-free ...
+            assert a.end == b.hpa
+            # ... and maximally coalesced.
+            assert not a.state_equals(b), f"unmerged neighbours {a} {b}"
+        for run in runs:
+            assert run.nbytes > 0
+            for hpa in range(run.hpa, run.end, PAGE):
+                expect = model[(hpa - base) // PAGE]
+                assert (run.content, run.content_tag, run.pin_count) == expect

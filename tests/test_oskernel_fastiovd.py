@@ -123,6 +123,106 @@ def test_scanner_and_fault_never_double_zero_or_race():
     assert all(page.is_zeroed for page in state["region"].pages)
 
 
+def _await_claim(r, vm, page):
+    """Poll (10 µs steps) until the scanner has claimed ``page``.
+
+    A 1 MiB page takes the scanner ~625 µs to zero, so the poller always
+    lands inside the claim's in-flight window.
+    """
+    key = (vm.pid, page.hpa)
+    while key not in r.fastiovd._inflight:
+        yield Timeout(10e-6)
+    assert page.is_residual  # claimed, not yet zeroed
+
+
+def test_fault_on_claimed_page_waits_for_the_scanner():
+    r = make_rig(scanner=True)
+    state = build_lazy_vm(r, ram=8 * MIB)
+    vm, page = state["vm"], state["region"].pages[0]
+    seen = {}
+
+    def toucher():
+        yield from _await_claim(r, vm, page)
+        found = yield from r.kvm.guest_access(vm, 0)
+        seen.update(page=found, zeroed=found.is_zeroed,
+                    inflight=(vm.pid, page.hpa) in r.fastiovd._inflight)
+
+    r.sim.spawn(toucher())
+    r.run()
+    stats = r.fastiovd.stats
+    assert stats.fault_wait_events >= 1
+    assert seen == {"page": page, "zeroed": True, "inflight": False}
+    assert stats.fault_zeroed_pages == 0  # the scanner zeroed it, once
+    assert stats.background_zeroed_pages == 8
+
+
+def test_register_instant_on_claimed_pages_waits_before_scrubbing():
+    r = make_rig(scanner=True)
+    state = build_lazy_vm(r, ram=8 * MIB)
+    vm = state["vm"]
+    rom_pages = state["region"].pages[:2]
+    times = {}
+
+    def watch(event, label):
+        yield event.wait()
+        times[label] = r.sim.now
+
+    def hypervisor():
+        for page in rom_pages:
+            yield from _await_claim(r, vm, page)
+        for i, page in enumerate(rom_pages):
+            event = r.fastiovd._inflight_event(vm.pid, page.hpa)
+            assert event is not None
+            r.sim.spawn(watch(event, f"scanned{i}"))
+        yield from r.fastiovd.register_instant(vm.pid, rom_pages)
+        times["scrubbed"] = r.sim.now
+        for page in rom_pages:
+            page.write("hypervisor:kernel")
+
+    r.sim.spawn(hypervisor())
+    r.run()
+    # The scrub (at most one core) starts only once both claimed pages
+    # are finished; without the wait it would overlap the scanner.
+    scrub = r.spec.zeroing_cpu_seconds(2 * r.memory.page_size)
+    scanned = max(times["scanned0"], times["scanned1"])
+    assert times["scrubbed"] >= scanned + scrub * (1 - 1e-9)
+    # ... so the scanner's zeroing never clobbers the hypervisor's write.
+    assert [page.content_tag for page in rom_pages] == ["hypervisor:kernel"] * 2
+    assert r.fastiovd.stats.instant_pages == 2
+
+
+def test_inflight_map_empties_once_the_table_drains():
+    r = make_rig(scanner=True)
+    state = build_lazy_vm(r, ram=32 * MIB)
+    vm = state["vm"]
+    peak = {"inflight": 0}
+
+    def toucher():
+        yield Timeout(r.spec.fastiovd_scan_interval_s)
+        for gpa in range(0, 32 * MIB, r.memory.page_size):
+            peak["inflight"] = max(peak["inflight"], len(r.fastiovd._inflight))
+            yield from r.kvm.guest_access(vm, gpa)
+
+    r.sim.spawn(toucher())
+    r.run()
+    assert peak["inflight"] > 0
+    assert r.fastiovd.pending_pages() == 0
+    assert r.fastiovd._inflight == {}
+
+
+def test_scanner_workers_are_not_processes():
+    r = make_rig(scanner=True)
+    build_lazy_vm(r, ram=8 * MIB)
+
+    def waiter():
+        yield Timeout(1.0)
+
+    r.sim.spawn(waiter())
+    r.run()
+    assert r.fastiovd.stats.background_zeroed_pages == 8
+    assert not [p for p in r.sim._processes if "worker" in p.name]
+
+
 def test_scanner_respects_chunk_budget():
     spec_small_chunk = KernelRig().spec.derive(
         fastiovd_scan_chunk_bytes=2 * MIB, fastiovd_scan_interval_s=0.1

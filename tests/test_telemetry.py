@@ -486,6 +486,15 @@ def test_metric_direction():
         "engine_events_per_sec") == "higher"
     assert perf_report._metric_direction("cache_speedup_x") == "higher"
     assert perf_report._metric_direction("python_version") == "info"
+    assert perf_report._metric_direction(
+        "fastiovd_scan_pages_per_s") == "higher"
+
+
+def test_fastiovd_scan_microbenchmark_drains_its_table():
+    rate = perf_report.fastiovd_scan_pages_per_s(
+        vms=2, vm_bytes=64 * 1024 * 1024, repeats=1
+    )
+    assert rate > 0
 
 
 def test_compare_flags_gated_regressions(tmp_path, capsys):
