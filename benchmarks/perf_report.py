@@ -48,22 +48,15 @@ heavy cluster cell (48 hosts, 2000 startups) timed single-process and at
 8 shards/8 worker processes, with the two summaries asserted identical.
 It needs the cores to show a speedup, so it is reported, not gated.
 
-``--optimistic-smoke`` runs a 100,000-host spread-arrival cell to
-completion under hierarchical sync (speculating workers behind the
-pipelined digest-reply coordinator) and records its wall-clock,
-rollback counters, speculation commit rate,
-replayed-events-per-rollback, and the coordinator occupancy figures
-(wait/place/reduce seconds, placement heap ops) — the scale headline
-of the speculative runner (reported; takes minutes at the default
-size, rescalable with ``--smoke-hosts`` / ``--smoke-concurrent`` up to
-the 1,000,000-host headline run, and gated by wall clock only when
-``--smoke-ceiling-s`` is set, as the weekly CI leg does).
-
-The default report also times one adversarial rollback storm twice —
-with fork checkpoints and with ``checkpoint_every=0`` — and records
-the replayed-events-per-rollback of each (``checkpoint_rollback`` in
-the report): the O(Δ) vs O(history) rollback-cost figure of the
-checkpoint subsystem.
+``--smoke`` runs a 100,000-host spread-arrival cell to completion
+under hierarchical sync (lockstep workers behind the pipelined
+digest-reply coordinator) and records its wall-clock, epoch count and
+the coordinator occupancy figures (wait/place/reduce seconds,
+placement heap ops) — the scale headline of the sharded runner
+(reported; takes minutes at the default size, rescalable with
+``--smoke-hosts`` / ``--smoke-concurrent`` up to the 1,000,000-host
+headline run, and gated by wall clock only when ``--smoke-ceiling-s``
+is set, as the weekly CI leg does).
 """
 
 import argparse
@@ -351,7 +344,7 @@ def measure(experiment_ids, jobs=None, repeats=2):
     # The worker protocol on a spread-arrival cell: over a flat star of
     # GATE_SHARDS workers, then at HIER_SHARDS through the full
     # relay-tree / digest-reply / pipelined path.  Both ride the
-    # baseline ratio gate, so a regression in speculation, relay
+    # baseline ratio gate, so a regression in worker stepping, relay
     # fan-out or pipelining overhead fails CI even on single-core
     # runners.
     for shards in (GATE_SHARDS, HIER_SHARDS):
@@ -366,19 +359,13 @@ def measure(experiment_ids, jobs=None, repeats=2):
     return timings
 
 
-def measure_optimistic_stats(preset="fastiov", concurrency=40, hosts=4,
-                             rate=12.0, shards=2, seed=2):
-    """Rollback/speculation counters of one spread cell under the
-    worker protocol.
-
-    Runs in-process (workers=0), where speculation is eager and the
-    counters are deterministic — so the BENCH numbers trend cleanly
-    across runs instead of following worker-scheduling noise.  Besides
-    the speculation counters this exports the coordinator-side figures
-    of the hierarchical work: ``placement_heap_ops`` (heap operations
-    of the incremental least-loaded tracker — deterministic) and
+def measure_sync_stats(preset="fastiov", concurrency=40, hosts=4,
+                       rate=12.0, shards=2, seed=2):
+    """Sync-protocol figures of one spread cell under the worker
+    protocol: ``epochs`` and ``placement_heap_ops`` (heap operations of
+    the incremental least-loaded tracker) are deterministic, while
     ``coordinator_wait_s`` (wall-clock the coordinator spent blocked on
-    shard replies — trend-only, like every timing here).
+    shard replies) is trend-only, like every timing here.
     """
     from repro.cluster.churn import cluster_arrivals
     from repro.cluster.sharded import run_sharded_cluster
@@ -386,26 +373,20 @@ def measure_optimistic_stats(preset="fastiov", concurrency=40, hosts=4,
     stats = {}
     run_sharded_cluster(
         preset, concurrency, hosts=hosts, seed=seed, shards=shards,
-        workers=0, arrivals=cluster_arrivals(seed, rate),
-        sync="hierarchical", engine_stats=stats,
+        arrivals=cluster_arrivals(seed, rate), sync="hierarchical",
+        engine_stats=stats,
     )
-    counters = {
-        key: stats[f"sync_{key}"]
-        for key in ("epochs", "rollbacks", "speculated_events",
-                    "replayed_events", "speculation_commits",
-                    "throttled_shards", "placement_heap_ops")
+    return {
+        "epochs": stats["sync_epochs"],
+        "placement_heap_ops": stats["sync_placement_heap_ops"],
+        "coordinator_wait_s": round(stats["sync_coordinator_wait_s"], 4),
     }
-    counters["coordinator_wait_s"] = round(
-        stats["sync_coordinator_wait_s"], 4
-    )
-    return counters
 
 
-def measure_optimistic_smoke(hosts=100000, concurrency=5000, rate=500.0,
-                             shards=4, seed=0, sync="hierarchical",
-                             ceiling_s=None, live=False):
-    """Completion smoke: a 100k-host-and-up cell under the speculative
-    protocol (hierarchical by default: speculating workers behind the
+def measure_smoke(hosts=100000, concurrency=5000, rate=500.0, shards=4,
+                  seed=0, sync="hierarchical", ceiling_s=None, live=False):
+    """Completion smoke: a 100k-host-and-up cell under the worker
+    protocol (hierarchical by default: lockstep workers behind the
     pipelined digest-reply coordinator — the configuration that has to
     carry the 1M-host target).
 
@@ -415,7 +396,7 @@ def measure_optimistic_smoke(hosts=100000, concurrency=5000, rate=500.0,
     (``0.5 s * max(1, hosts // 100000)`` — at 0.004 s, 100k mostly-idle
     hosts would spend the whole run ticking).  What it proves: the
     protocol drives a cluster three-plus orders of magnitude past the
-    paper testbed to completion, with the rollback counters and the
+    paper testbed to completion, with the epoch count and the
     coordinator-occupancy figures (wait/place/reduce seconds, heap
     ops) exported.  ``--smoke-hosts`` / ``--smoke-concurrent`` rescale
     the cell (the default takes minutes; a 10k/500 smoke fits a coffee
@@ -460,105 +441,24 @@ def measure_optimistic_smoke(hosts=100000, concurrency=5000, rate=500.0,
     assert summary["count"] == concurrency, "smoke cell lost containers"
     counters = {
         key: stats[f"sync_{key}"]
-        for key in ("epochs", "rollbacks", "speculated_events",
-                    "replayed_events", "speculation_commits",
-                    "throttled_shards", "checkpoints",
-                    "checkpoint_resumes", "full_replays",
-                    "placement_heap_ops")
+        for key in ("epochs", "placement_heap_ops")
     }
     for key in ("coordinator_wait_s", "coordinator_place_s",
                 "coordinator_reduce_s"):
         counters[key] = round(stats[f"sync_{key}"], 4)
     print(f"{'smoke':14s} {elapsed:8.3f} s  "
           f"({hosts} hosts, {concurrency} containers, {sync} sync, "
-          f"rollbacks={counters['rollbacks']}, "
-          f"checkpoints={counters['checkpoints']})")
+          f"epochs={counters['epochs']})")
     print(f"{'  coordinator':14s} wait {counters['coordinator_wait_s']:.3f} s  "
           f"place {counters['coordinator_place_s']:.3f} s  "
           f"reduce {counters['coordinator_reduce_s']:.3f} s  "
           f"heap-ops {counters['placement_heap_ops']:,}")
-    commits = counters["speculation_commits"]
-    attempts = commits + counters["rollbacks"]
-    commit_rate = commits / attempts if attempts else 1.0
-    replayed_per_rollback = (
-        counters["replayed_events"] / counters["rollbacks"]
-        if counters["rollbacks"] else 0.0
-    )
-    print(f"{'  speculation':14s} commit-rate {commit_rate * 100:5.1f}%  "
-          f"replayed/rollback {replayed_per_rollback:,.0f} events")
-    counters["commit_rate"] = round(commit_rate, 4)
-    counters["replayed_per_rollback"] = round(replayed_per_rollback, 1)
     if ceiling_s is not None:
         assert elapsed <= ceiling_s, (
             f"smoke took {elapsed:.1f} s, over the {ceiling_s:.0f} s "
             f"wall-clock ceiling — the cell's scaling regressed"
         )
     return round(elapsed, 4), counters
-
-
-def measure_checkpoint_rollback(concurrency=200, hosts=4, rate=20.0,
-                                shards=2, seed=11, checkpoint_every=2):
-    """Rollback cost with fork checkpoints vs full replay from t=0.
-
-    One deep-history spread cell (many epochs of committed journal) is
-    driven through an adversarial rollback storm twice — the
-    coordinator under-promises the ``safe`` bound and the workers
-    speculate eagerly, so conflicts land on nearly every batched epoch
-    — once with CoW fork checkpoints at a short cadence and once with
-    ``checkpoint_every=0`` (the pre-checkpoint rebuild-and-replay
-    path).  The figure of merit is *replayed events per rollback*: with
-    checkpoints it is O(events since the last checkpoint) and flat in
-    history depth; without, it grows with every committed epoch.  The
-    two summaries are asserted identical — checkpoints move wall-clock
-    only.  Returns a dict of both runs' counters and the improvement.
-    """
-    from repro.cluster.churn import cluster_arrivals
-    from repro.cluster.sharded import run_sharded_cluster
-
-    def storm(interval):
-        stats = {}
-        summary = run_sharded_cluster(
-            "fastiov", concurrency, hosts=hosts, seed=seed, shards=shards,
-            arrivals=cluster_arrivals(seed, rate), sync="hierarchical",
-            eager_speculation=True, checkpoint_every=interval,
-            worker_context="fork", engine_stats=stats,
-        )
-        rollbacks = stats["sync_rollbacks"]
-        replayed = stats["sync_replayed_events"]
-        return summary, {
-            "rollbacks": rollbacks,
-            "replayed_events": replayed,
-            "replayed_per_rollback": round(
-                replayed / rollbacks if rollbacks else 0.0, 1
-            ),
-            "checkpoints": stats["sync_checkpoints"],
-            "checkpoint_resumes": stats["sync_checkpoint_resumes"],
-            "full_replays": stats["sync_full_replays"],
-        }
-
-    os.environ["REPRO_OPTIMISTIC_ADVERSARIAL_SAFE"] = "1"
-    try:
-        with_ckpt_summary, with_ckpt = storm(checkpoint_every)
-        without_summary, without = storm(0)
-    finally:
-        del os.environ["REPRO_OPTIMISTIC_ADVERSARIAL_SAFE"]
-    assert with_ckpt_summary == without_summary, (
-        "checkpointed storm diverged from the full-replay storm"
-    )
-    improvement = (
-        without["replayed_per_rollback"]
-        / with_ckpt["replayed_per_rollback"]
-        if with_ckpt["replayed_per_rollback"] else 0.0
-    )
-    print(f"{'ckpt-rollback':14s} "
-          f"replayed/rollback {with_ckpt['replayed_per_rollback']:,.0f} "
-          f"(checkpointed) vs {without['replayed_per_rollback']:,.0f} "
-          f"(full replay)  {improvement:,.1f}x less replay")
-    return {
-        "with_checkpoints": with_ckpt,
-        "full_replay": without,
-        "replay_improvement_x": round(improvement, 2),
-    }
 
 
 def measure_sharded_speedup(shards=8, hosts=48, concurrency=2000):
@@ -597,8 +497,6 @@ REQUIRED_BASELINE_KEYS = (
     "engine_events_per_sec",
     "engine_timer_events_per_sec",
     "engine_daemon_tick_events_per_sec",
-    "optimistic_sync",
-    "checkpoint_rollback",
 )
 
 #: Timings the baseline's ``timings`` map must itself contain; a
@@ -771,15 +669,15 @@ def main(argv=None):
     parser.add_argument("--sharded-speedup", action="store_true",
                         help="also time a heavy 48-host cell at 1 vs 8 "
                              "shards (needs cores; reported, not gated)")
-    parser.add_argument("--optimistic-smoke", action="store_true",
+    parser.add_argument("--smoke", action="store_true",
                         help="also run the 100,000-host completion smoke "
                              "under hierarchical sync (minutes; reported, "
                              "not gated unless --smoke-ceiling-s is set)")
     parser.add_argument("--smoke-hosts", type=int, default=100000,
-                        help="host count for --optimistic-smoke "
+                        help="host count for --smoke "
                              "(default 100000)")
     parser.add_argument("--smoke-concurrent", type=int, default=5000,
-                        help="container count for --optimistic-smoke "
+                        help="container count for --smoke "
                              "(default 5000)")
     parser.add_argument("--smoke-ceiling-s", type=float, default=None,
                         help="fail the smoke if it exceeds this wall-clock "
@@ -787,7 +685,7 @@ def main(argv=None):
                              "one; default: no ceiling)")
     parser.add_argument("--top", action="store_true",
                         help="repaint the repro top live dashboard while "
-                             "--optimistic-smoke runs (telemetry only; "
+                             "--smoke runs (telemetry only; "
                              "results unchanged)")
     parser.add_argument("--compare", nargs=2, default=None,
                         metavar=("A.json", "B.json"),
@@ -831,12 +729,10 @@ def main(argv=None):
     scan_pages_per_s = round(fastiovd_scan_pages_per_s())
     print(f"{'fastiovd-scan':14s} {scan_pages_per_s:9,} pages/s")
     timings = measure(EXPERIMENTS, jobs=args.jobs)
-    optimistic_sync = measure_optimistic_stats()
-    print(f"{'sync-counters':14s} epochs={optimistic_sync['epochs']} "
-          f"rollbacks={optimistic_sync['rollbacks']} "
-          f"speculated={optimistic_sync['speculated_events']} "
-          f"replayed={optimistic_sync['replayed_events']}")
-    checkpoint_rollback = measure_checkpoint_rollback()
+    sync_stats = measure_sync_stats()
+    print(f"{'sync-counters':14s} epochs={sync_stats['epochs']} "
+          f"heap-ops={sync_stats['placement_heap_ops']} "
+          f"coordinator-wait={sync_stats['coordinator_wait_s']:.3f} s")
     probe_overhead = round(
         timings[f"scale_probes{GATE_SHARDS}"]
         / timings[f"scale_shards{GATE_SHARDS}"] - 1.0, 4
@@ -844,8 +740,7 @@ def main(argv=None):
     report = {
         "timings": timings,
         "probe_overhead_frac": probe_overhead,
-        "optimistic_sync": optimistic_sync,
-        "checkpoint_rollback": checkpoint_rollback,
+        "sync_stats": sync_stats,
         "engine_events_per_sec": events_per_sec,
         "engine_timer_events_per_sec": timer_eps,
         "engine_timer_events_per_sec_heap_ref": timer_eps_heap,
@@ -866,12 +761,12 @@ def main(argv=None):
             "speedup_x": speedup,
             "cpus": os.cpu_count(),
         }
-    if args.optimistic_smoke:
-        smoke_s, smoke_counters = measure_optimistic_smoke(
+    if args.smoke:
+        smoke_s, smoke_counters = measure_smoke(
             hosts=args.smoke_hosts, concurrency=args.smoke_concurrent,
             ceiling_s=args.smoke_ceiling_s, live=args.top,
         )
-        report["optimistic_smoke"] = {
+        report["smoke"] = {
             "elapsed_s": smoke_s,
             "cpus": os.cpu_count(),
             **smoke_counters,
@@ -895,36 +790,18 @@ def main(argv=None):
     metrics["daemon_ticker_speedup_x"] = ticker_speedup
     metrics["fastiovd_scan_pages_per_s"] = scan_pages_per_s
     metrics["probe_overhead_frac"] = probe_overhead
-    for key, value in optimistic_sync.items():
-        metrics[f"optimistic_{key}"] = value
-    metrics["checkpoint_replayed_per_rollback"] = (
-        checkpoint_rollback["with_checkpoints"]["replayed_per_rollback"]
-    )
-    metrics["full_replayed_per_rollback"] = (
-        checkpoint_rollback["full_replay"]["replayed_per_rollback"]
-    )
-    metrics["checkpoint_replay_improvement_x"] = (
-        checkpoint_rollback["replay_improvement_x"]
-    )
+    for key, value in sync_stats.items():
+        metrics[f"sync_{key}"] = value
     speedup = report.get("sharded_speedup")
     if speedup:
         metrics["sharded_cell_single_s"] = speedup["single_s"]
         metrics["sharded_cell_sharded_s"] = speedup["sharded_s"]
         metrics["sharded_cell_speedup_x"] = speedup["speedup_x"]
-    smoke = report.get("optimistic_smoke")
+    smoke = report.get("smoke")
     if smoke:
-        metrics["optimistic_smoke_100k_s"] = smoke["elapsed_s"]
-        metrics["optimistic_smoke_100k_rollbacks"] = smoke["rollbacks"]
-        metrics["optimistic_smoke_commit_rate"] = smoke["commit_rate"]
-        metrics["optimistic_smoke_replayed_per_rollback"] = (
-            smoke["replayed_per_rollback"]
-        )
-        metrics["optimistic_smoke_coordinator_wait_s"] = (
-            smoke["coordinator_wait_s"]
-        )
-        metrics["optimistic_smoke_placement_heap_ops"] = (
-            smoke["placement_heap_ops"]
-        )
+        metrics["smoke_100k_s"] = smoke["elapsed_s"]
+        metrics["smoke_coordinator_wait_s"] = smoke["coordinator_wait_s"]
+        metrics["smoke_placement_heap_ops"] = smoke["placement_heap_ops"]
     stamped_path = ROOT / f"BENCH_{runstamp}.json"
     stamped_path.write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n"

@@ -46,21 +46,6 @@ def shard_count(value):
     return count
 
 
-def checkpoint_interval(value):
-    """argparse type for ``--checkpoint-every``: epochs >= 0.
-
-    0 disables fork checkpoints (worker rollback then falls back to
-    full replay from t=0); omitting the flag keeps the adaptive
-    cadence tied to the speculation window.
-    """
-    count = int(value)
-    if count < 0:
-        raise argparse.ArgumentTypeError(
-            f"checkpoint interval must be >= 0, got {value}"
-        )
-    return count
-
-
 def cmd_list(_args):
     print("Experiments (paper artifacts):")
     for exp_id, title in list_experiments():
@@ -79,7 +64,6 @@ def cmd_run(args):
         shards=args.shards,
         sync=args.sync,
         rate=args.rate,
-        checkpoint_every=args.checkpoint_every,
     )
     result = experiment.run(
         quick=args.quick,
@@ -121,7 +105,6 @@ def cmd_profile(args):
         shards=args.shards,
         sync=args.sync,
         rate=args.rate,
-        checkpoint_every=args.checkpoint_every,
     )
     target_label = f"experiment {args.experiment!r}"
     if args.hot:
@@ -179,7 +162,6 @@ def _pick_trace_cell(args):
         shards=args.shards,
         sync=args.sync,
         rate=args.rate,
-        checkpoint_every=args.checkpoint_every,
     )
     cells = experiment._cells(quick=args.quick, seed=args.seed)
     if not cells:
@@ -190,8 +172,6 @@ def _pick_trace_cell(args):
         replacements["shards"] = args.shards
     if args.sync is not None and cell.kind == "cluster":
         replacements["sync"] = args.sync
-    if args.checkpoint_every is not None and cell.kind == "cluster":
-        replacements["checkpoint_every"] = args.checkpoint_every
     return dataclasses.replace(cell, **replacements)
 
 
@@ -227,8 +207,7 @@ def cmd_trace(args):
     *dual-clock* companion file (``--wallclock``, default
     ``<out>.wallclock.json``): the same virtual tracks grouped under
     the worker process that simulated them, side by side with each
-    process's wall-clock phase spans, rollback/checkpoint instants,
-    and the coordinator's wait/place/reduce occupancy — which is how
+    process's wall-clock phase spans and the coordinator's wait/place/reduce occupancy — which is how
     the once opt-in coordinator track is now part of the default trace
     output.  The ``--out`` file itself stays byte-identical across
     shard counts, sync modes, and probes on/off (the trace-determinism
@@ -285,8 +264,7 @@ def cmd_top(args):
 
     Same cell choice as ``trace``, with runtime probes forced on and a
     ``repro top`` terminal view repainting while the cell runs: per-
-    process commit rate, wire throughput, rollback rate, and phase
-    occupancy, plus the coordinator's placement progress and ETA.  The
+    process commit rate, wire throughput and phase occupancy, plus the coordinator's placement progress and ETA.  The
     final frame and the cell summary print when the run completes.
     """
     from repro.experiments import parallel
@@ -377,7 +355,7 @@ def main(argv=None):
         "--sync",
         choices=SYNC_MODES,
         default=None,
-        help="sharded protocol: hierarchical (default; speculating "
+        help="sharded protocol: hierarchical (default; lockstep "
              "worker processes under a relay tree with a pipelined "
              "coordinator) or conservative (the in-process lockstep "
              "reference; runs the shards serially); results are "
@@ -388,14 +366,6 @@ def main(argv=None):
         help="arrival rate for experiments that take one (scale: 0 = "
              "simultaneous burst; positive rates spread arrivals and "
              "drive the epoch protocol)",
-    )
-    run_p.add_argument(
-        "--checkpoint-every", type=checkpoint_interval, default=None,
-        metavar="EPOCHS",
-        help="fork-checkpoint cadence for shard worker processes "
-             "(default: adaptive, tied to the speculation window; 0 "
-             "disables and rollback replays from t=0); wall-clock "
-             "only — results are byte-identical",
     )
     run_p.add_argument(
         "--json", default=None, metavar="PATH",
@@ -436,13 +406,6 @@ def main(argv=None):
         help="arrival rate for experiments that take one; positive "
              "rates spread arrivals so the traced cell exercises the "
              "epoch protocol and exports its sync counters",
-    )
-    trace_p.add_argument(
-        "--checkpoint-every", type=checkpoint_interval, default=None,
-        metavar="EPOCHS",
-        help="fork-checkpoint cadence for shard worker processes; "
-             "checkpoint/rollback counters ride the metrics export, "
-             "the timeline stays byte-identical",
     )
     trace_p.add_argument(
         "--out", default="trace.json", metavar="PATH",
@@ -499,11 +462,6 @@ def main(argv=None):
              "is an epoch frontier to watch",
     )
     top_p.add_argument(
-        "--checkpoint-every", type=checkpoint_interval, default=None,
-        metavar="EPOCHS",
-        help="fork-checkpoint cadence for shard worker processes",
-    )
-    top_p.add_argument(
         "--interval", type=float, default=0.5, metavar="SECONDS",
         help="dashboard repaint interval (default 0.5s)",
     )
@@ -540,13 +498,6 @@ def main(argv=None):
         "--rate", type=float, default=None, metavar="PER_S",
         help="arrival rate for experiments that take one; positive "
              "rates spread arrivals and drive the epoch protocol",
-    )
-    profile_p.add_argument(
-        "--checkpoint-every", type=checkpoint_interval, default=None,
-        metavar="EPOCHS",
-        help="fork-checkpoint cadence for shard worker processes; "
-             "--hot prints checkpoint/resume counters with the engine "
-             "statistics",
     )
     profile_p.add_argument(
         "--hot", action="store_true",

@@ -26,6 +26,7 @@ from repro.cluster.placement import (
 )
 from repro.cluster.shard import ClusterShard
 from repro.cluster.sharded import (
+    ShardFailure,
     min_startup_lookahead,
     partition_hosts,
     peak_concurrency,
@@ -39,6 +40,7 @@ __all__ = [
     "LeastLoadedPlacement",
     "PLACEMENT_POLICIES",
     "RoundRobinPlacement",
+    "ShardFailure",
     "cluster_arrivals",
     "make_placement",
     "min_startup_lookahead",

@@ -158,8 +158,7 @@ def cluster_arrivals(seed, rate_per_s=0.0):
 def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
                      placement="least-loaded", teardown=True, shards=1,
                      workers=None, rate_per_s=0.0, engine_stats=None,
-                     trace=None, sync="hierarchical",
-                     checkpoint_every=None, telemetry=None):
+                     trace=None, sync="hierarchical", telemetry=None):
     """One cluster-scale launch cell; returns a plain-JSON summary.
 
     The cluster analogue of ``launch_preset`` + ``summarize_launch``:
@@ -168,19 +167,17 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
     routes to the sharded runner (:mod:`repro.cluster.sharded`):
     round-robin and burst-arrival cells come back byte-identical to the
     single-process run; spread-arrival least-loaded cells follow the
-    deterministic epoch protocol, served by speculating worker
-    processes (``sync="hierarchical"``) or by the in-process lockstep
-    reference (``sync="conservative"``).  ``workers``, ``sync`` and
-    ``checkpoint_every`` (the workers' fork-checkpoint cadence; 0
-    disables, None adapts) never change results; single-process runs
-    validate ``sync`` but otherwise ignore it (there is no barrier).
+    deterministic epoch protocol, served by lockstep worker processes
+    (``sync="hierarchical"``) or by the in-process lockstep reference
+    (``sync="conservative"``).  ``workers`` and ``sync`` never change
+    results; single-process runs validate ``sync`` but otherwise ignore
+    it (there is no barrier).
 
     ``engine_stats``, if given, is a dict filled with the simulator's
     :meth:`~repro.sim.core.Simulator.wheel_stats` for diagnostics —
     single-process wheel stats, or the shards' aggregated stats plus
-    the sync-protocol counters (epochs, barrier wait, rollbacks,
-    speculated/replayed events); it is never part of the returned
-    summary.
+    the sync-protocol counters (epochs, barrier wait, coordinator
+    occupancy); it is never part of the returned summary.
 
     ``trace``, if given, is a dict filled with the flight-recorder
     bundle (``repro.obs``): single-process runs record on one shared
@@ -208,7 +205,7 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
             placement=placement, app_name=app_name, teardown=teardown,
             arrivals=cluster_arrivals(seed, rate_per_s), workers=workers,
             trace=trace, sync=sync, engine_stats=engine_stats,
-            checkpoint_every=checkpoint_every, telemetry=telemetry,
+            telemetry=telemetry,
         )
     from repro.cluster.cluster import Cluster
 

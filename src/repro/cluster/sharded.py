@@ -15,8 +15,8 @@ timeline.  Two ``sync`` values select who runs that protocol:
 * ``"conservative"`` — the in-process lockstep *reference*: every
   shard in this process, advanced barrier by barrier
   (:class:`_InProcessGroup` + :func:`_place_epoch_barrier`).  It
-  ignores ``workers`` and shares no worker, relay, wire or speculation
-  code with the path it checks, which is what makes it the oracle the
+  ignores ``workers`` and shares no worker, relay or wire code with the
+  path it checks, which is what makes it the oracle the
   byte-identity gates compare against.
 
 Placement plans
@@ -60,35 +60,22 @@ The worker protocol
 -------------------
 
 Worker and relay processes serve four ops: ``step``, ``drain``,
-``finish`` and ``stop``.
+``finish`` and ``stop``.  Workers run in lockstep: between messages a
+worker is blocked in a receive, and each op runs its shards exactly as
+the in-process reference does.
 
-* **step** ``(barrier, epoch_end, safe, batches)`` submits each shard's
-  batch at the epoch ``barrier``, commits through ``epoch_end`` and
-  replies with a per-host *load digest* of the teardowns up to it
-  (wire tag ``L``).  ``safe`` is the earliest barrier any future batch
-  can carry (the next unplaced arrival's epoch start; infinity once
-  placement is done).  An up-front plan is one step at barrier 0 with
-  ``safe=inf``.
-* **Speculation.**  Between messages a shard free-runs past its
-  committed frontier: risk-free up to ``safe``, and beyond it bounded
-  by an AIMD window of W epochs, only while it has live lifecycles.
-  Teardowns beyond the frontier stay buffered in the shard, so the
-  coordinator only ever sees deltas no future input can invalidate.
-* **Rollback.**  A batch whose barrier lies behind a shard's speculated
-  clock means the speculation ran past a real input.  Generators cannot
-  be snapshotted, so the shard resumes from a copy-on-write fork
-  checkpoint and replays its journal suffix
-  (:mod:`repro.cluster.checkpoint`), or — without fork support, with
-  ``checkpoint_every=0``, or in-process — is rebuilt from its spec and
-  replays its whole journal.  Teardowns the coordinator already saw are
-  dropped from the replay.
-* **drain / finish.**  ``drain`` reports max(committed frontier, last
-  lifecycle completion); ``finish`` aligns every shard to the global
-  horizon (rolling back a clock that overshot it), so merged event
-  counts match the single-process run exactly.
+* **step** ``(barrier, epoch_end, batches)`` submits each shard's batch
+  at the epoch ``barrier``, runs to ``epoch_end`` and replies with a
+  per-host *load digest* of the teardowns up to it (wire tag ``L``).
+  An up-front plan is one step at barrier 0.
+* **drain** runs every lifecycle to completion and reports each
+  shard's end; **finish** runs every shard to the global horizon, so
+  merged event counts match the single-process run exactly.
 
 Around the workers sit the paths that only move wall-clock:
 
+* **Parallel workers.**  Shards of one epoch advance in separate
+  processes at once, while the reference runs them one after another.
 * **Relay tree.**  When the worker count exceeds :data:`RELAY_FAN_IN`,
   workers hang off relay processes (recursively), which route step
   batches down and merge their children's digests by per-host addition,
@@ -98,33 +85,26 @@ Around the workers sit the paths that only move wall-clock:
   bit-identical to the O(hosts) scan.
 * **Depth-2 pipelining.**  After a batched step the coordinator streams
   the next epoch's batchless jump before draining replies; every reply
-  is still applied before the next placement decision.  A fork-checkpoint
-  handover tolerates this: the queued request is unread bytes in the
-  kernel pipe buffer, which the resumed image inherits.
+  is still applied before the next placement decision.
 * **Packed frames** (:mod:`repro.cluster.wire`) for steps and digests.
 
-``REPRO_OPTIMISTIC_ADVERSARIAL_SAFE=1`` makes the coordinator
-under-promise ``safe`` (the barrier itself) and pins every speculation
-window open, so speculating shards conflict on nearly every batched
-epoch — the rollback-storm regime the determinism gates use to hammer
-the checkpoint handover.
+A worker or relay that dies mid-protocol surfaces as a
+:class:`ShardFailure` naming its shards, host ranges, last barrier and
+exit status.
 
-The committed timeline every worker ends on is exactly the reference's —
-same barriers, same batches, same grid — so results are byte-identical
+The timeline every worker runs is exactly the reference's — same
+barriers, same batches, same grid — so results are byte-identical
 across sync modes, shard counts and worker counts.
 """
 
 import multiprocessing
 import os
+import signal
 import sys
 import time
 import traceback
 
 from repro.cluster import wire
-from repro.cluster.checkpoint import (
-    ForkCheckpointer,
-    fork_checkpoints_supported,
-)
 from repro.cluster.placement import make_load_tracker
 from repro.cluster.shard import ClusterShard
 from repro.metrics.stats import Distribution
@@ -288,448 +268,47 @@ def peak_concurrency(spans):
 
 
 # ----------------------------------------------------------------------
-# speculative shard state: journal, speculation window, rollback
+# shard groups: the in-process reference and worker processes
 # ----------------------------------------------------------------------
-#: Speculation window start/cap, in epochs of lookahead beyond the
-#: risk-free ``safe`` bound.  Slow-start: risk-free speculation alone
-#: must prove itself (a streak of confirmed epochs) before any risky
-#: overshoot is attempted, so a rollback-prone cell never pays the
-#: first replay at full window depth.
-_SPEC_WINDOW_INIT = 0
-_SPEC_WINDOW_MAX = 16
-#: AIMD pacing: a rollback halves the window (toward zero — replay is
-#: O(committed history), so risky speculation must back off hard); the
-#: window grows by one only after this many consecutive confirmed
-#: speculations.
-_SPEC_GROW_STREAK = 4
-#: Sticky breaker: once a shard has rolled back this many times with
-#: fewer than half as many confirmed speculations, it stops risky
-#: speculation for the rest of the run (risk-free speculation up to
-#: ``safe`` continues — that part can never roll back).
-_SPEC_BREAKER_ROLLBACKS = 8
+class ShardFailure(RuntimeError):
+    """A shard worker or relay died or failed mid-protocol.
 
-
-def _adversarial_safe():
-    """Rollback-storm test mode (see module docstring): the
-    coordinator under-promises ``safe`` and shards pin their window
-    open, so speculation conflicts on nearly every batched epoch."""
-    return os.environ.get(
-        "REPRO_OPTIMISTIC_ADVERSARIAL_SAFE", ""
-    ) not in ("", "0")
-
-
-def _hist_add(hist, value):
-    """Bump a power-of-two histogram bucket: smallest b with
-    ``value <= 2**b`` (bucket 0 spans everything at or below 1)."""
-    bucket = 0
-    while (1 << bucket) < value and bucket < 62:
-        bucket += 1
-    hist[bucket] = hist.get(bucket, 0) + 1
-
-
-class _SpeculativeShard:
-    """A :class:`ClusterShard` plus the worker protocol's bookkeeping.
-
-    Holds the shard's input journal (every committed ``(barrier,
-    batch)``), its committed frontier, and the adaptive speculation
-    window.  Rollback is replay: generators cannot be snapshotted, so a
-    mis-speculated shard is rebuilt from its spec and its journal is
-    re-run up to the conflict point — O(committed history), which is
-    why the window shrinks aggressively when rollbacks happen.
+    Raised instead of a bare ``EOFError`` or ``BrokenPipeError`` by the
+    coordinator's group and by relays (which ship it upward as their
+    ``error`` reply).  Names the shards behind the failed pipe
+    (``shard_ids``, ``hosts`` as ``(start, stop)`` ranges), the last
+    barrier sent down it (None before the first step) and the child's
+    ``exitcode`` (negative: killed by that signal; None: still running).
     """
 
-    def __init__(self, spec, lookahead):
-        self._spec = dict(spec)
-        self._lookahead = lookahead
-        self.shard = ClusterShard(**self._spec)
-        # Wall-clock plane: let the engine publish its live frontier.
-        # Telemetry-only — the probe never feeds back into the sim.
-        self.shard.sim.runtime_probe = runtime.get_probe()
-        #: Committed inputs, in submission order: ``(barrier, batch)``.
-        #: After a checkpoint this holds only the post-checkpoint
-        #: *suffix* — the prefix lives applied inside the CoW image.
-        self._journal = []
-        #: No input with a barrier below this can ever arrive; work at
-        #: or before it is committed, work beyond it is speculation.
-        self._frontier = 0.0
-        #: Coordinator's promise: the next batch (for any shard) comes
-        #: no earlier than this barrier, because the arrival schedule
-        #: is known up front.  Speculation below it is risk-free — only
-        #: the windowed overshoot beyond it can ever roll back.
-        self._safe = 0.0
-        #: Teardowns at or before this time were already sent to the
-        #: coordinator (and must not be re-sent by a replayed shard).
-        self._reported = 0.0
-        #: Local clock of the newest fork checkpoint, None before the
-        #: first capture.  Once set, the journal prefix is gone and
-        #: in-place full replay would silently lose inputs — so
-        #: :meth:`_rollback` refuses to run.
-        self._ckpt_time = None
-        self._ckpt_age = 0
-        self.window = _SPEC_WINDOW_INIT
-        self.throttled = False
-        self._pinned = _adversarial_safe()
-        if self._pinned:
-            self.window = _SPEC_WINDOW_MAX
-        self._commit_streak = 0
-        self.stats = {
-            "epochs": 0,
-            "rollbacks": 0,
-            "speculated_events": 0,
-            "replayed_events": 0,
-            "speculation_commits": 0,
-            "checkpoints": 0,
-            "checkpoint_resumes": 0,
-            "full_replays": 0,
-            "checkpoint_age_epochs": 0,
-            "rollback_depth_hist": {},
-            "replay_distance_hist": {},
-        }
-
-    def step(self, barrier, epoch_end, safe, batch):
-        """One combined protocol step: commit through ``epoch_end``.
-
-        Submits ``batch`` at the epoch ``barrier`` (rolling back first
-        if the local clock speculated past it), advances to
-        ``epoch_end``, and returns the teardown deltas with time <=
-        ``epoch_end`` — exactly what the in-process reference's
-        submit + run_until pair reports, so the coordinator's load
-        vector sees identical deltas at identical barriers in both
-        modes.
-
-        ``safe`` is the earliest barrier any future batch can carry
-        (the next unplaced arrival's epoch start; infinity once every
-        arrival is placed) — it moves the shard's risk-free speculation
-        bound forward.
-        """
-        self.stats["epochs"] += 1
-        if self._ckpt_time is not None:
-            self._ckpt_age += 1
-            if self._ckpt_age > self.stats["checkpoint_age_epochs"]:
-                self.stats["checkpoint_age_epochs"] = self._ckpt_age
-        self._safe = safe
-        shard = self.shard
-        speculated = shard.sim.now > self._frontier
-        rolled_back = False
-        if batch and shard.sim.now > barrier:
-            self._rollback(barrier)
-            rolled_back = True
-            shard = self.shard
-        # Phase attribution: the rollback replay (if any) was timed by
-        # _rollback itself; everything from here to the epoch end is
-        # committed simulation work.  A rolled-back shard's clock sits
-        # exactly at the barrier, so the run_until(barrier) catch-up
-        # below never re-runs replayed work.
-        probe = runtime.get_probe()
-        began = probe.begin() if probe is not None else 0.0
-        if batch:
-            if shard.sim.now < barrier:
-                shard.sim.run_until(barrier)
-            shard.submit(batch)
-            self._journal.append((barrier, batch))
-        if shard.sim.now < epoch_end:
-            shard.sim.run_until(epoch_end)
-        if probe is not None:
-            probe.lap("compute", began)
-        if speculated:
-            # Adaptive throttle, AIMD with a slow additive increase:
-            # a rollback halves the window toward zero (replay costs
-            # O(committed history), so risky overshoot must back off
-            # hard), and the window regrows by one only after a streak
-            # of confirmed speculations.  A sticky breaker stops risky
-            # speculation for good when rollbacks dominate — a
-            # pathological cell degrades to risk-free-only speculation
-            # instead of paying replays forever.
-            if rolled_back:
-                if not self._pinned:
-                    self.window //= 2
-                    self._commit_streak = 0
-                    if (self.stats["rollbacks"]
-                            >= _SPEC_BREAKER_ROLLBACKS
-                            and self.stats["speculation_commits"] * 2
-                            < self.stats["rollbacks"]):
-                        self.throttled = True
-                        self.window = 0
-            else:
-                self.stats["speculation_commits"] += 1
-                self._commit_streak += 1
-                if (not self.throttled and not self._pinned
-                        and self._commit_streak >= _SPEC_GROW_STREAK):
-                    self._commit_streak = 0
-                    self.window = min(self.window + 1, _SPEC_WINDOW_MAX)
-        self._frontier = epoch_end
-        self._reported = epoch_end
-        return shard.take_teardowns(upto=epoch_end)
-
-    def speculate_quantum(self):
-        """Free-run up to one lookahead past the clock, inside the
-        window; returns whether any progress was made.
-
-        The target is ``max(safe, frontier) + window * lookahead``:
-        everything below the coordinator's ``safe`` promise can never
-        roll back (so even a fully throttled shard keeps speculating
-        up to it), while the window bounds only the risky overshoot
-        beyond it.
-        """
-        shard = self.shard
-        if not shard.live:
-            # Nothing in flight: only daemon ticks remain, and those
-            # must not run past the cluster's natural end.
-            return False
-        sim = shard.sim
-        target = (max(self._safe, self._frontier)
-                  + self.window * self._lookahead)
-        if sim.now >= target:
-            return False
-        before = sim.events_dispatched
-        sim.run_until(min(target, sim.now + self._lookahead))
-        self.stats["speculated_events"] += sim.events_dispatched - before
-        return True
-
-    # ------------------------------------------------------------------
-    # fork-checkpoint hooks (worker processes only; see cluster.checkpoint)
-    # ------------------------------------------------------------------
-    def checkpointable(self):
-        """Whether this instant is commit-safe to fork a checkpoint at.
-
-        A checkpoint at local time T must sit at or below every input
-        it could ever be resumed against: future batch barriers are >=
-        max(committed frontier, ``safe``), and the finish horizon is >=
-        the final frontier, so T <= max(frontier, safe) is safe — with
-        the caveat that an *infinite* ``safe`` (placement done) is not
-        a barrier bound at all, and only T <= frontier guarantees T
-        stays below the global finish horizon.
-        """
-        now = self.shard.sim.now
-        if self._safe != float("inf"):
-            return now <= max(self._frontier, self._safe)
-        return now <= self._frontier
-
-    def mark_checkpoint(self):
-        """Parent-side bookkeeping right after a checkpoint fork.
-
-        The CoW image holds every journal entry already applied, so the
-        live journal shrinks to the (empty) suffix — committed-teardown
-        dedup is untouched because ``_reported`` still rides along and
-        :meth:`apply_resume` re-drops everything at or below it.
-        """
-        self._ckpt_time = self.shard.sim.now
-        self._ckpt_age = 0
-        self._journal = []
-        self.stats["checkpoints"] += 1
-
-    def pack_state(self):
-        """The per-shard handover payload a resumed checkpoint needs."""
-        return {
-            "journal": self._journal,
-            "frontier": self._frontier,
-            "safe": self._safe,
-            "reported": self._reported,
-            "ckpt_time": self._ckpt_time,
-            "ckpt_age": self._ckpt_age,
-            "window": self.window,
-            "throttled": self.throttled,
-            "streak": self._commit_streak,
-            "stats": self.stats,
-        }
-
-    def apply_resume(self, packed):
-        """Become the committed timeline again, inside a resumed child.
-
-        The fork image sits at the checkpoint instant with every
-        pre-checkpoint input applied; adopting the dead worker's
-        bookkeeping and replaying the journal *suffix* (then running to
-        the committed frontier) reproduces exactly the committed state
-        the in-process reference would hold.  Teardowns regenerated on
-        the way were already reported by the dead image — ``upto
-        _reported`` drops them, so the coordinator's load vector never
-        sees a delta twice.
-        """
-        probe = runtime.get_probe()
-        began = probe.begin() if probe is not None else 0.0
-        sim = self.shard.sim
-        before = sim.events_dispatched
-        self._journal = list(packed["journal"])
-        self._frontier = packed["frontier"]
-        self._safe = packed["safe"]
-        self._reported = packed["reported"]
-        self._ckpt_time = packed["ckpt_time"]
-        self._ckpt_age = packed["ckpt_age"]
-        self.window = packed["window"]
-        self.throttled = packed["throttled"]
-        self._commit_streak = packed["streak"]
-        self.stats = packed["stats"]
-        for submit_time, batch in self._journal:
-            if sim.now < submit_time:
-                sim.run_until(submit_time)
-            self.shard.submit(batch)
-        if sim.now < self._frontier:
-            sim.run_until(self._frontier)
-        self.shard.take_teardowns(upto=self._reported)
-        replayed = sim.events_dispatched - before
-        self.stats["replayed_events"] += replayed
-        self.stats["checkpoint_resumes"] += 1
-        _hist_add(self.stats["replay_distance_hist"], replayed)
-        if probe is not None:
-            probe.lap("checkpoint_resume", began)
-            probe.instant("checkpoint_resume")
-            probe.count("checkpoint_resumes")
-
-    def note_checkpoint_rollback(self, barrier):
-        """Dying-image accounting for a checkpoint-resolved conflict.
-
-        The conflicted step never runs here (the resumed child replays
-        it at the committed frontier, where it no longer conflicts), so
-        the rollback count, depth histogram, and AIMD back-off are
-        applied before the state packs itself into the handover.
-        """
-        self.stats["rollbacks"] += 1
-        probe = runtime.get_probe()
-        if probe is not None:
-            # The count must cross the handover (it rides pack()); the
-            # instant is recorded by the *resumed* child, which is the
-            # image the telemetry timeline keeps.
-            probe.count("rollbacks")
-        _hist_add(
-            self.stats["rollback_depth_hist"],
-            self.shard.sim.now - barrier,
-        )
-        if not self._pinned:
-            self.window //= 2
-            self._commit_streak = 0
-            if (self.stats["rollbacks"] >= _SPEC_BREAKER_ROLLBACKS
-                    and self.stats["speculation_commits"] * 2
-                    < self.stats["rollbacks"]):
-                self.throttled = True
-                self.window = 0
-
-    def _rollback(self, when):
-        """Rebuild the shard and replay its journal up to ``when``.
-
-        This is the O(committed history) fallback: it exists for
-        in-process groups and fork-less workers, whose journal is the
-        complete input history.  After a checkpoint truncated the
-        journal this replay would silently lose the prefix, so it
-        refuses — conflicts must resume through the checkpoint image
-        instead.
-        """
-        if self._ckpt_time is not None:
-            raise RuntimeError(
-                "full replay after checkpoint truncation would lose "
-                "the journal prefix; conflicts must resume from the "
-                "checkpoint image"
-            )
-        probe = runtime.get_probe()
-        began = probe.begin() if probe is not None else 0.0
-        self.stats["rollbacks"] += 1
-        self.stats["full_replays"] += 1
-        _hist_add(
-            self.stats["rollback_depth_hist"],
-            self.shard.sim.now - when,
-        )
-        self.shard.discard()
-        self.shard = ClusterShard(**self._spec)
-        sim = self.shard.sim
-        sim.runtime_probe = probe
-        for submit_time, batch in self._journal:
-            sim.run_until(submit_time)
-            self.shard.submit(batch)
-        sim.run_until(when)
-        # The replayed shard regenerated every committed teardown;
-        # drop the ones the coordinator already saw.
-        self.shard.take_teardowns(upto=self._reported)
-        self.stats["replayed_events"] += sim.events_dispatched
-        _hist_add(
-            self.stats["replay_distance_hist"], sim.events_dispatched
-        )
-        if probe is not None:
-            probe.lap("rollback_replay", began)
-            probe.instant("rollback")
-            probe.count("rollbacks")
-
-    def drain(self):
-        """Run lifecycles to completion; returns the conservative end.
-
-        The speculated clock may sit past the last completion (a
-        quantum never stops mid-flight), so the reported end is
-        max(committed frontier, last lifecycle completion) — exactly
-        the ``sim.now`` a reference shard lands on after its drain.
-        """
-        shard = self.shard
-        shard.sim.run()
-        return max(self._frontier, shard.last_lifecycle_end)
-
-    def finish(self, horizon):
-        """Align to the global ``horizon`` and return the shard result.
-
-        A clock that overshot the horizon is rolled back by replay —
-        the rebuilt simulator then counts exactly the events of the
-        committed timeline, so merged event totals match the
-        single-process run byte-for-byte.
-        """
-        shard = self.shard
-        if shard.sim.now > horizon:
-            self._rollback(horizon)
-            shard = self.shard
-        elif shard.sim.now < horizon:
-            shard.sim.run_until(horizon)
-        result = shard.result()
-        result["sync"] = dict(self.stats, throttled=int(self.throttled))
-        return result
+    def __init__(self, message, shard_ids=(), hosts=(), barrier=None,
+                 exitcode=None):
+        super().__init__(message)
+        self.shard_ids = list(shard_ids)
+        self.hosts = list(hosts)
+        self.barrier = barrier
+        self.exitcode = exitcode
 
 
-#: Per-shard sync counters that sum across shards; ``epochs`` and
-#: ``checkpoint_age_epochs`` take the max instead (they are per-shard
-#: high-water marks of the same global grid), and the ``*_hist`` keys
-#: are power-of-two histograms whose buckets merge by addition.
-_SYNC_SUM_KEYS = (
-    "rollbacks",
-    "speculated_events",
-    "replayed_events",
-    "speculation_commits",
-    "checkpoints",
-    "checkpoint_resumes",
-    "full_replays",
-)
-_SYNC_HIST_KEYS = ("rollback_depth_hist", "replay_distance_hist")
+def _exit_status(exitcode):
+    """Human-readable ``Process.exitcode``."""
+    if exitcode is None:
+        return "still running"
+    if exitcode < 0:
+        try:
+            return f"killed by {signal.Signals(-exitcode).name}"
+        except ValueError:
+            return f"killed by signal {-exitcode}"
+    return f"exit code {exitcode}"
 
 
-def _fold_sync_stats(results, barrier_wait_s):
-    """Pop per-shard ``sync`` stats off ``results`` and aggregate them."""
-    stats = {
-        "epochs": 0,
-        "barrier_wait_s": barrier_wait_s,
-        "throttled_shards": 0,
-        "checkpoint_age_epochs": 0,
-    }
-    stats.update({key: 0 for key in _SYNC_SUM_KEYS})
-    stats.update({key: {} for key in _SYNC_HIST_KEYS})
-    for result in results:
-        shard_stats = result.pop("sync", None)
-        if not shard_stats:
-            continue
-        stats["epochs"] = max(stats["epochs"], shard_stats["epochs"])
-        stats["checkpoint_age_epochs"] = max(
-            stats["checkpoint_age_epochs"],
-            shard_stats.get("checkpoint_age_epochs", 0),
-        )
-        for key in _SYNC_SUM_KEYS:
-            stats[key] += shard_stats.get(key, 0)
-        for key in _SYNC_HIST_KEYS:
-            for bucket, count in shard_stats.get(key, {}).items():
-                stats[key][bucket] = stats[key].get(bucket, 0) + count
-        stats["throttled_shards"] += shard_stats["throttled"]
-    return stats
-
-
-# ----------------------------------------------------------------------
-# shard groups: the in-process reference, in-process workers, processes
-# ----------------------------------------------------------------------
 class _InProcessGroup:
     """The conservative reference: every shard here, in lockstep.
 
-    No speculation, no worker, relay or wire code — the shards advance
-    barrier by barrier exactly as the grid rule reads.
+    No worker, relay or wire code — the shards advance barrier by
+    barrier exactly as the grid rule reads.  Also serves the
+    ``hierarchical`` mode with ``workers=0`` and inside daemonic pool
+    workers, which cannot fork.
     """
 
     def __init__(self, shard_specs):
@@ -751,69 +330,32 @@ class _InProcessGroup:
         return [shard.drain() for shard in self.shards]
 
     def finish(self, horizon):
-        results = []
-        for shard in self.shards:
-            if shard.sim.now < horizon:
-                shard.sim.run_until(horizon)
-            results.append(shard.result())
-        stats = _fold_sync_stats(results, 0.0)
-        stats["epochs"] = self.epochs
-        return results, stats
+        results = [shard.finish(horizon) for shard in self.shards]
+        return results, {"epochs": self.epochs, "barrier_wait_s": 0.0}
 
     def close(self):
         self.shards = []
 
 
-class _SpeculativeInProcessGroup:
-    """The worker protocol with every shard in this process
-    (``workers=0``, or inside a daemonic pool worker).
+def _step_shard(shard, barrier, epoch_end, batch):
+    """One ``step`` on one shard, exactly as the reference runs it.
 
-    Wall-clock-wise, in-process speculation buys nothing — there is no
-    idle core to soak while the coordinator thinks — but it executes
-    the identical protocol the worker processes run, and it does so
-    *deterministically*: each step is executed the moment it is sent
-    and speculation runs to window exhaustion right after it, so
-    speculation depth depends only on the adaptive window, never on OS
-    timing.  That is what makes rollback counts assertable in tests.
+    Submits ``batch`` at the epoch ``barrier``, runs to ``epoch_end``
+    and returns the teardown deltas up to it — the submit + run_until
+    pair :func:`_place_epoch_barrier` drives, so the coordinator's load
+    vector sees identical deltas at identical barriers in every mode.
     """
-
-    def __init__(self, shard_specs, lookahead):
-        self.states = [
-            _SpeculativeShard(spec, lookahead) for _, spec in shard_specs
-        ]
-        self._replies = []
-
-    def step_send(self, barrier, epoch_end, safe, batches):
-        deltas = []
-        for shard_id, state in enumerate(self.states):
-            deltas.extend(
-                state.step(barrier, epoch_end, safe, batches.get(shard_id))
-            )
-        for state in self.states:
-            while state.speculate_quantum():
-                pass
-        self._replies.append(wire.digest_deltas(deltas))
-
-    def step_recv(self):
-        return self._replies.pop(0)
-
-    def step(self, barrier, epoch_end, safe, batches):
-        self.step_send(barrier, epoch_end, safe, batches)
-        return self.step_recv()
-
-    def drain(self):
-        return [state.drain() for state in self.states]
-
-    def finish(self, horizon):
-        results = [state.finish(horizon) for state in self.states]
-        return results, _fold_sync_stats(results, 0.0)
-
-    def close(self):
-        self.states = []
+    sim = shard.sim
+    if batch:
+        if sim.now < barrier:
+            sim.run_until(barrier)
+        shard.submit(batch)
+    if sim.now < epoch_end:
+        sim.run_until(epoch_end)
+    return shard.take_teardowns()
 
 
-def _shard_worker_main(conn, shard_specs, lookahead, checkpoint_every=None,
-                       eager=False, use_fork=True):
+def _shard_worker_main(conn, shard_specs, lookahead):
     """Worker entry: serve the worker protocol for the assigned shards.
 
     The tree topology and the pipelined coordinator live entirely above
@@ -832,11 +374,7 @@ def _shard_worker_main(conn, shard_specs, lookahead, checkpoint_every=None,
             )
             runtime.set_probe(probe)
             wire.set_probe(probe)
-        _worker_loop(
-            conn, shard_specs, lookahead,
-            checkpoint_every=checkpoint_every, eager=eager,
-            use_fork=use_fork,
-        )
+        _worker_loop(conn, shard_specs, lookahead)
     except BaseException as exc:  # noqa: BLE001 - ship it to the parent
         try:
             wire.send(
@@ -846,168 +384,66 @@ def _shard_worker_main(conn, shard_specs, lookahead, checkpoint_every=None,
             pass
 
 
-def _apply_handover(states, handover, ckpt):
-    """Turn a resumed checkpoint child into the committed worker.
+def _worker_loop(conn, shard_specs, lookahead):
+    """Lockstep worker: block on the pipe, execute, reply, repeat.
 
-    Replays each shard's journal suffix and returns the decoded pending
-    request — the one whose conflict killed the previous image — for
-    the loop to process next (its reply has not been sent yet).
-
-    The replayed suffix is credited toward the capture cadence: under
-    a rollback storm conflicts land faster than any cadence, and a
-    resumed child restarting its count at zero would keep serving an
-    ever-staler checkpoint image — the replay suffix, and with it the
-    rollback cost, would quietly grow back to O(history).  With the
-    credit, the first commit-safe step after a deep resume re-captures
-    at the new frontier and the suffix stays short.
+    Each ``step`` runs every owned shard exactly as the in-process
+    reference does (:func:`_step_shard`) and replies with the load
+    digest.  Between messages the worker is blocked in a receive, and
+    only that blocked time counts as barrier wait.
     """
     probe = runtime.get_probe()
-    if probe is not None and handover.get("probe") is not None:
-        # Adopt the dead image's cumulative accounting before the
-        # per-shard resumes below add their replay spans, then mark
-        # the rollback this handover resolved (the dying image's
-        # pending instants died with it).
-        probe.adopt(handover["probe"])
-        probe.instant("rollback")
-    for shard_id, packed in handover["shards"].items():
-        states[shard_id].apply_resume(packed)
-    ckpt.confirmed = max(
-        (len(state._journal) for state in states.values()), default=0
-    )
-    return wire.decode(handover["pending"])
-
-
-def _worker_loop(conn, shard_specs, lookahead, checkpoint_every=None,
-                 eager=False, use_fork=True):
-    """Speculating worker: free-run whenever the pipe is quiet.
-
-    Every quantum re-polls the pipe, so a pending step message is
-    picked up within one lookahead of simulation; once every shard has
-    exhausted its window (or its live work), the loop blocks — and
-    only that blocked time counts as barrier wait.  ``eager`` trades
-    that overlap away for determinism: speculation runs to exhaustion
-    *before* the next blocking receive, so speculation depth (and with
-    it every rollback count) depends only on the adaptive window,
-    never on OS timing — that is what makes checkpoint behavior
-    assertable in tests and benchmarks.
-
-    With fork support (and unless ``checkpoint_every=0``) a
-    :class:`~repro.cluster.checkpoint.ForkCheckpointer` bounds
-    rollback to the journal suffix; conflicts then *leave this
-    process*: the dying image packs its bookkeeping and the pending
-    request into a handover, and the loop continues inside the resumed
-    child with ``pending`` set (the fork happened after the previous
-    reply was sent, so no reply is ever duplicated or lost).
-    """
-    states = {shard_id: _SpeculativeShard(spec, lookahead)
-              for shard_id, spec in shard_specs}
-    probe = runtime.get_probe()
-    ckpt = None
-    if (use_fork and checkpoint_every != 0
-            and fork_checkpoints_supported()):
-        ckpt = ForkCheckpointer(states, checkpoint_every)
+    shards = {}
+    for shard_id, spec in shard_specs:
+        shard = ClusterShard(**spec)
+        # Wall-clock plane: let the engine publish its live frontier.
+        # Telemetry-only — the probe never feeds back into the sim.
+        shard.sim.runtime_probe = probe
+        shards[shard_id] = shard
     wait_s = 0.0
-    pending = None
     while True:
-        if pending is not None:
-            message, pending = pending, None
-        elif eager:
-            began = probe.begin() if probe is not None else 0.0
-            moved = False
-            for state in states.values():
-                while state.speculate_quantum():
-                    moved = True
-            if probe is not None and moved:
-                probe.lap("speculate", began)
-            waited = time.perf_counter()
-            if probe is not None:
-                conn.poll(None)
-                probe.lap("barrier_wait", waited)
-            message = wire.recv(conn)
-            wait_s += time.perf_counter() - waited
-        else:
-            while not conn.poll(0):
-                began = probe.begin() if probe is not None else 0.0
-                moved = False
-                for state in states.values():
-                    if state.speculate_quantum():
-                        moved = True
-                if moved:
-                    if probe is not None:
-                        probe.lap("speculate", began)
-                else:
-                    waited = time.perf_counter()
-                    conn.poll(None)
-                    wait_s += time.perf_counter() - waited
-                    if probe is not None:
-                        probe.lap("barrier_wait", waited)
-                    break
-            message = wire.recv(conn)
+        waited = time.perf_counter()
+        conn.poll(None)
+        now = time.perf_counter()
+        wait_s += now - waited
+        if probe is not None:
+            probe.lap("barrier_wait", waited, now)
+        message = wire.recv(conn)
         op = message[0]
         if op == "step":
-            _op, barrier, epoch_end, safe, batches = message
-            if ckpt is not None and ckpt.live is not None:
-                conflicted = [
-                    state for shard_id, state in states.items()
-                    if batches.get(shard_id)
-                    and state.shard.sim.now > barrier
-                ]
-                if conflicted:
-                    for state in conflicted:
-                        state.note_checkpoint_rollback(barrier)
-                    # Never returns: the resumed child re-enters this
-                    # loop with the same message pending, now at the
-                    # committed frontier where it no longer conflicts.
-                    ckpt.hand_over(wire.encode(message))
+            _op, barrier, epoch_end, batches = message
+            began = probe.begin() if probe is not None else 0.0
             deltas = []
-            for shard_id, state in states.items():
-                deltas.extend(
-                    state.step(barrier, epoch_end, safe,
-                               batches.get(shard_id))
-                )
-            # Reply with the load digest, not the raw deltas: the
-            # coordinator applies every reply before the next placement
-            # decision, so per-host freed counts carry exactly the
-            # information placement consumes — and relays can merge
-            # digests by addition on the way up.
+            for shard_id, shard in shards.items():
+                deltas.extend(_step_shard(
+                    shard, barrier, epoch_end, batches.get(shard_id)
+                ))
             if probe is not None:
+                probe.lap("compute", began)
                 probe.count("epochs")
                 if lookahead > 0:
                     probe.gauge(
                         "frontier_epoch", round(epoch_end / lookahead)
                     )
+            # Reply with the load digest, not the raw deltas: the
+            # coordinator applies every reply before the next placement
+            # decision, so per-host freed counts carry exactly the
+            # information placement consumes — and relays can merge
+            # digests by addition on the way up.
             wire.send(conn, ("loads", wire.digest_deltas(deltas)),
                       piggyback=True)
-            if ckpt is not None:
-                resumed = ckpt.after_step()
-                if resumed is not None:
-                    pending = _apply_handover(states, resumed, ckpt)
         elif op == "drain":
             began = probe.begin() if probe is not None else 0.0
-            reply = {sid: state.drain()
-                     for sid, state in states.items()}
+            reply = {sid: shard.drain() for sid, shard in shards.items()}
             if probe is not None:
                 probe.lap("compute", began)
             wire.send(conn, ("ok", reply), piggyback=True)
         elif op == "finish":
-            horizon = message[1]
-            if ckpt is not None and ckpt.live is not None:
-                over = [state for state in states.values()
-                        if state.shard.sim.now > horizon]
-                if over:
-                    for state in over:
-                        state.note_checkpoint_rollback(horizon)
-                    ckpt.hand_over(wire.encode(message))
-            results = {sid: state.finish(horizon)
-                       for sid, state in states.items()}
-            if ckpt is not None:
-                ckpt.close()
-                ckpt = None
+            results = {sid: shard.finish(message[1])
+                       for sid, shard in shards.items()}
             wire.send(conn, ("ok", {"results": results, "wait_s": wait_s}),
                       piggyback=True)
         elif op == "stop":
-            if ckpt is not None:
-                ckpt.close()
             wire.send(conn, ("ok", None), piggyback=True)
             return
         else:  # pragma: no cover - protocol guard
@@ -1015,62 +451,9 @@ def _worker_loop(conn, shard_specs, lookahead, checkpoint_every=None,
             return
 
 
-def _spawn_workers(context_name, chunks, lookahead, checkpoint_every,
-                   eager, label="repro-shard"):
-    """Spawn the processes serving ``chunks`` (one shard-spec list each).
-
-    Flat star when the chunk count fits :data:`RELAY_FAN_IN`: one leaf
-    worker per chunk.  Otherwise the chunks are grouped under fan-in
-    relay processes — each relay re-enters this function for its own
-    sub-tree, so depth grows logarithmically and no node ever serves
-    more than fan-in pipes.  Returns ``(procs, conns,
-    shard_ids_per_conn)``.
-    """
-    context = multiprocessing.get_context(context_name)
-    # Fork checkpoints need the worker itself to be fork-started: a
-    # spawn context stands in for platforms without os.fork, so its
-    # workers keep the full journal and roll back by replay.
-    use_fork = context_name == "fork"
-    procs = []
-    conns = []
-    owners = []
-    if len(chunks) > RELAY_FAN_IN:
-        groups = [chunks[index::RELAY_FAN_IN]
-                  for index in range(RELAY_FAN_IN)]
-        for index, group_chunks in enumerate(groups):
-            parent_conn, child_conn = context.Pipe()
-            proc = context.Process(
-                target=_relay_main,
-                args=(child_conn, group_chunks, lookahead,
-                      checkpoint_every, eager, context_name),
-                name=f"{label}-relay-{index}",
-            )
-            proc.start()
-            child_conn.close()
-            procs.append(proc)
-            conns.append(parent_conn)
-            owners.append([shard_id for chunk in group_chunks
-                           for shard_id, _ in chunk])
-        return procs, conns, owners
-    for index, chunk in enumerate(chunks):
-        parent_conn, child_conn = context.Pipe()
-        proc = context.Process(
-            target=_shard_worker_main,
-            args=(child_conn, chunk, lookahead, checkpoint_every, eager,
-                  use_fork),
-            name=f"{label}-worker-{index}",
-        )
-        proc.start()
-        child_conn.close()
-        procs.append(proc)
-        conns.append(parent_conn)
-        owners.append([shard_id for shard_id, _ in chunk])
-    return procs, conns, owners
-
-
-def _relay_main(conn, chunks, lookahead, checkpoint_every, eager,
-                context_name):
+def _relay_main(conn, chunks, lookahead):
     """Relay entry: aggregate a sub-tree of workers behind one pipe."""
+    children = None
     try:
         if runtime.probes_enabled():
             name = multiprocessing.current_process().name
@@ -1081,11 +464,11 @@ def _relay_main(conn, chunks, lookahead, checkpoint_every, eager,
             # relay's next upward reply — the tree reduction costs the
             # telemetry plane no extra frames.
             wire.set_telemetry_sink(RecordBuffer())
-        procs, conns, owners = _spawn_workers(
-            context_name, chunks, lookahead, checkpoint_every, eager,
-            label=multiprocessing.current_process().name,
+        children = _WorkerGroup(
+            chunks, lookahead, label=multiprocessing.current_process().name,
+            wait_phase="barrier_wait",
         )
-        _relay_loop(conn, procs, conns, _owner_map(owners))
+        _relay_loop(conn, children)
     except BaseException as exc:  # noqa: BLE001 - ship it to the parent
         try:
             wire.send(
@@ -1093,24 +476,14 @@ def _relay_main(conn, chunks, lookahead, checkpoint_every, eager,
             )
         except OSError:  # pragma: no cover - parent already gone
             pass
+    finally:
+        # Stop the surviving children so this relay can exit (a forked
+        # process joins its non-daemonic children on the way out).
+        if children is not None:
+            children.close()
 
 
-def _owner_map(owners):
-    """``[[shard_id, ...] per pipe]`` -> ``{shard_id: pipe index}``."""
-    return {shard_id: index
-            for index, shard_ids in enumerate(owners)
-            for shard_id in shard_ids}
-
-
-def _route(owner, pipes, batches):
-    """Split ``{shard_id: batch}`` into one batch dict per child pipe."""
-    routed = [{} for _ in range(pipes)]
-    for shard_id, batch in batches.items():
-        routed[owner[shard_id]][shard_id] = batch
-    return routed
-
-
-def _relay_loop(parent, procs, conns, owner):
+def _relay_loop(parent, children):
     """Serve the worker protocol by fan-out and tree reduction.
 
     A relay is protocol-transparent: it routes step batches down by
@@ -1127,76 +500,42 @@ def _relay_loop(parent, procs, conns, owner):
     order — the pipelining is invisible to everything above.
     """
     probe = runtime.get_probe()
-
-    def forward_step(message):
-        _op, barrier, epoch_end, safe, batches = message
-        for conn, payload in zip(conns, _route(owner, len(conns), batches)):
-            wire.send(conn, ("step", barrier, epoch_end, safe, payload))
-
-    def gather():
-        replies = []
-        for conn in conns:
-            if probe is not None:
-                waited = probe.begin()
-                conn.poll(None)
-                probe.lap("barrier_wait", waited)
-            reply = wire.recv(conn)
-            if reply[0] == "error":
-                raise RuntimeError(f"shard worker failed:\n{reply[1]}")
-            replies.append(reply[1])
-        return replies
-
-    def recv_parent():
-        if probe is not None:
-            waited = probe.begin()
-            parent.poll(None)
-            probe.lap("barrier_wait", waited)
-        return wire.recv(parent)
-
     backlog = []
     while True:
-        message = backlog.pop(0) if backlog else recv_parent()
+        if backlog:
+            message = backlog.pop(0)
+        else:
+            if probe is not None:
+                waited = probe.begin()
+                parent.poll(None)
+                probe.lap("barrier_wait", waited)
+            message = wire.recv(parent)
         op = message[0]
         if op == "step":
             forwarded = 1
-            forward_step(message)
+            children.step_send(*message[1:])
             if parent.poll(0):
                 follow = wire.recv(parent)
                 if follow[0] == "step":
-                    forward_step(follow)
+                    children.step_send(*follow[1:])
                     forwarded += 1
                 else:
                     backlog.append(follow)
             for _ in range(forwarded):
-                wire.send(
-                    parent, ("loads", wire.merge_digests(gather())),
-                    piggyback=True,
-                )
+                wire.send(parent, ("loads", children.step_recv()),
+                          piggyback=True)
         elif op == "drain":
-            for conn in conns:
-                wire.send(conn, message)
             ends = {}
-            for payload in gather():
+            for payload in children.broadcast(message):
                 ends.update(payload)
             wire.send(parent, ("ok", ends), piggyback=True)
         elif op == "finish":
-            for conn in conns:
-                wire.send(conn, message)
-            results = {}
-            wait_s = 0.0
-            for payload in gather():
-                results.update(payload["results"])
-                wait_s += payload["wait_s"]
+            results, wait_s = _merge_finish(children.broadcast(message))
             wire.send(parent, ("ok", {"results": results,
                                       "wait_s": wait_s}),
                       piggyback=True)
         elif op == "stop":
-            for conn in conns:
-                wire.send(conn, ("stop", None))
-            for conn in conns:
-                wire.recv(conn)
-            for proc in procs:
-                proc.join(timeout=5)
+            children.close()
             wire.send(parent, ("ok", None), piggyback=True)
             return
         else:  # pragma: no cover - protocol guard
@@ -1204,86 +543,184 @@ def _relay_loop(parent, procs, conns, owner):
             return
 
 
-class _WorkerGroup:
-    """Shards spread over ``workers`` forked processes.
+def _merge_finish(payloads):
+    """Union the children's ``finish`` results; sum their waits."""
+    results = {}
+    wait_s = 0.0
+    for payload in payloads:
+        results.update(payload["results"])
+        wait_s += payload["wait_s"]
+    return results, wait_s
 
+
+def _route(owner, pipes, batches):
+    """Split ``{shard_id: batch}`` into one batch dict per child pipe."""
+    routed = [{} for _ in range(pipes)]
+    for shard_id, batch in batches.items():
+        routed[owner[shard_id]][shard_id] = batch
+    return routed
+
+
+def _spawn_workers(chunks, lookahead, label):
+    """Fork the processes serving ``chunks`` (one shard-spec list each).
+
+    Flat star when the chunk count fits :data:`RELAY_FAN_IN`: one leaf
+    worker per chunk.  Otherwise the chunks are grouped under fan-in
+    relay processes — each relay spawns its own sub-tree, so depth
+    grows logarithmically and no node ever serves more than fan-in
+    pipes.  Returns ``(procs, conns, members)``, where ``members``
+    lists ``(shard_id, (host_start, host_stop))`` per pipe.
+    """
+    context = multiprocessing.get_context("fork")
+    if len(chunks) > RELAY_FAN_IN:
+        plan = [(_relay_main, chunks[index::RELAY_FAN_IN],
+                 f"{label}-relay-{index}")
+                for index in range(RELAY_FAN_IN)]
+    else:
+        plan = [(_shard_worker_main, chunk, f"{label}-worker-{index}")
+                for index, chunk in enumerate(chunks)]
+    procs = []
+    conns = []
+    members = []
+    for target, payload, name in plan:
+        parent_conn, child_conn = context.Pipe()
+        proc = context.Process(
+            target=target, args=(child_conn, payload, lookahead),
+            name=name,
+        )
+        proc.start()
+        child_conn.close()
+        procs.append(proc)
+        conns.append(parent_conn)
+        specs = (payload if target is _shard_worker_main
+                 else [item for chunk in payload for item in chunk])
+        members.append([
+            (shard_id, (spec["host_start"], spec["host_stop"]))
+            for shard_id, spec in specs
+        ])
+    return procs, conns, members
+
+
+class _WorkerGroup:
+    """Shards spread over forked processes, one pipe per chunk.
+
+    :func:`_spawn_workers` decides the topology (flat star or relay
+    tree); a relay serves its own sub-tree through a group of its own.
     Shard-to-process mapping is a pure convenience: every shard is a
-    deterministic object, so results are invariant to how many processes
-    serve them.  Protocol messages travel struct-packed
-    (:mod:`repro.cluster.wire`); after a checkpoint handover the
-    process behind a pipe is a different PID, but the Connection — and
-    the bounded-outstanding-request framing on it — carries over
-    untouched, so the group never needs to know.  With more workers
-    than :data:`RELAY_FAN_IN` the pipes below are relay sub-trees
-    instead of leaf workers — same protocol, fewer pipes on the
-    coordinator's serial path.
+    deterministic object, so results are invariant to how many
+    processes serve them.  Protocol messages travel struct-packed
+    (:mod:`repro.cluster.wire`).
+
+    ``wait_phase`` names the probe phase the blocked part of each
+    receive is attributed to (a relay's ``barrier_wait``; the
+    coordinator times its own waits).  A child that dies, or replies
+    with an error, raises :class:`ShardFailure`.
     """
 
-    def __init__(self, shard_specs, workers, lookahead,
-                 checkpoint_every=None, context=None, eager=False):
-        chunks = [shard_specs[index::workers] for index in range(workers)]
-        chunks = [chunk for chunk in chunks if chunk]
-        self._procs, self._conns, owners = _spawn_workers(
-            context or "fork", chunks, lookahead, checkpoint_every, eager,
+    def __init__(self, chunks, lookahead, label="repro-shard",
+                 wait_phase=None):
+        self._procs, self._conns, self._members = _spawn_workers(
+            chunks, lookahead, label
         )
-        self._owner = _owner_map(owners)
+        self._owner = {shard_id: index
+                       for index, members in enumerate(self._members)
+                       for shard_id, _hosts in members}
+        self._wait_phase = wait_phase
+        self._barrier = None
+        self.epochs = 0
 
-    def _broadcast(self, message):
-        for conn in self._conns:
-            wire.send(conn, message)
-        replies = []
-        for conn in self._conns:
+    def _failure(self, index, detail=None):
+        """The :class:`ShardFailure` for pipe ``index``'s child.
+
+        Without ``detail``, an ``error`` reply the child managed to
+        write before its pipe broke still becomes the detail.
+        """
+        conn = self._conns[index]
+        try:
+            while detail is None and conn.poll(0):
+                status, payload = wire.recv(conn)
+                if status == "error":
+                    detail = payload
+        except (EOFError, OSError):
+            pass
+        proc = self._procs[index]
+        proc.join(timeout=5)
+        members = self._members[index]
+        shard_ids = [shard_id for shard_id, _hosts in members]
+        hosts = [span for _shard_id, span in members]
+        ranges = ", ".join(f"[{start}, {stop})" for start, stop in hosts)
+        where = ("before the first step" if self._barrier is None
+                 else f"after barrier {self._barrier!r}")
+        message = (
+            f"shard worker for shards {shard_ids} (hosts {ranges}) "
+            f"failed {where}: {_exit_status(proc.exitcode)}"
+        )
+        if detail:
+            message += f"\n{detail}"
+        return ShardFailure(message, shard_ids, hosts, self._barrier,
+                            proc.exitcode)
+
+    def _send(self, index, message):
+        try:
+            wire.send(self._conns[index], message)
+        except OSError:
+            raise self._failure(index) from None
+
+    def _recv(self, index, expect):
+        conn = self._conns[index]
+        probe = runtime.get_probe() if self._wait_phase else None
+        try:
+            if probe is not None:
+                waited = probe.begin()
+                conn.poll(None)
+                probe.lap(self._wait_phase, waited)
             status, payload = wire.recv(conn)
-            if status != "ok":
-                self.close()
-                raise RuntimeError(f"shard worker failed:\n{payload}")
-            replies.append(payload)
-        return replies
+        except (EOFError, OSError):
+            raise self._failure(index) from None
+        if status != expect:
+            raise self._failure(index, payload)
+        return payload
 
-    def step_send(self, barrier, epoch_end, safe, batches):
+    def broadcast(self, message):
+        """Send ``message`` down every pipe; the ``ok`` payloads."""
+        for index in range(len(self._conns)):
+            self._send(index, message)
+        return [self._recv(index, "ok") for index in range(len(self._conns))]
+
+    def step_send(self, barrier, epoch_end, batches):
         """Ship one step without waiting for its replies.
 
         The pipelined coordinator calls this back-to-back (at most two
-        outstanding per pipe — the depth the checkpoint handover
-        tolerates: one request in processing travels in the handover,
-        a queued one survives in the kernel pipe buffer); every send
-        must be matched by a later :meth:`step_recv`, in order.
+        outstanding per pipe); every send must be matched by a later
+        :meth:`step_recv`, in order.
         """
+        self.epochs += 1
+        self._barrier = barrier
         routed = _route(self._owner, len(self._conns), batches)
-        for conn, payload in zip(self._conns, routed):
-            wire.send(conn, ("step", barrier, epoch_end, safe, payload))
+        for index, payload in enumerate(routed):
+            self._send(index, ("step", barrier, epoch_end, payload))
 
     def step_recv(self):
         """Collect one step's replies: the merged load digest."""
-        digests = []
-        for conn in self._conns:
-            status, payload = wire.recv(conn)
-            if status != "loads":
-                self.close()
-                raise RuntimeError(f"shard worker failed:\n{payload}")
-            digests.append(payload)
-        return wire.merge_digests(digests)
+        return wire.merge_digests([
+            self._recv(index, "loads") for index in range(len(self._conns))
+        ])
 
-    def step(self, barrier, epoch_end, safe, batches):
-        """Submit + advance + collect digests in one round-trip
-        (workers speculate while it is in flight)."""
-        self.step_send(barrier, epoch_end, safe, batches)
+    def step(self, barrier, epoch_end, batches):
+        """Submit + advance + collect digests in one round-trip."""
+        self.step_send(barrier, epoch_end, batches)
         return self.step_recv()
 
     def drain(self):
         ends = {}
-        for payload in self._broadcast(("drain", None)):
+        for payload in self.broadcast(("drain", None)):
             ends.update(payload)
         return [ends[shard_id] for shard_id in sorted(ends)]
 
     def finish(self, horizon):
-        results = {}
-        wait_s = 0.0
-        for payload in self._broadcast(("finish", horizon)):
-            results.update(payload["results"])
-            wait_s += payload["wait_s"]
+        results, wait_s = _merge_finish(self.broadcast(("finish", horizon)))
         ordered = [results[shard_id] for shard_id in sorted(results)]
-        return ordered, _fold_sync_stats(ordered, wait_s)
+        return ordered, {"epochs": self.epochs, "barrier_wait_s": wait_s}
 
     def close(self):
         for conn in self._conns:
@@ -1292,10 +729,6 @@ class _WorkerGroup:
             except OSError:
                 pass
         for proc in self._procs:
-            # After a checkpoint handover the serving process is a
-            # descendant, not this Process object (which is already
-            # dead); the descendant exits on "stop" and is reaped by
-            # init, so the join below is still the right wait.
             proc.join(timeout=5)
             if proc.is_alive():  # pragma: no cover - stuck worker
                 proc.terminate()
@@ -1306,22 +739,17 @@ class _WorkerGroup:
         self._conns = []
 
 
-def _make_group(shard_specs, workers, sync, lookahead, checkpoint_every=None,
-                context=None, eager=False):
-    if sync == "conservative":
-        return _InProcessGroup(shard_specs)
+def _make_group(shard_specs, workers, sync, lookahead):
     if workers is None:
         workers = len(shard_specs)
     # A multiprocessing.Pool worker is daemonic and may not fork
     # children; sharded cells that land there run in-process.
-    if multiprocessing.current_process().daemon:
-        workers = 0
-    if workers < 1:
-        return _SpeculativeInProcessGroup(shard_specs, lookahead)
-    return _WorkerGroup(
-        shard_specs, min(workers, len(shard_specs)), lookahead,
-        checkpoint_every=checkpoint_every, context=context, eager=eager,
-    )
+    if (sync == "conservative" or workers < 1
+            or multiprocessing.current_process().daemon):
+        return _InProcessGroup(shard_specs)
+    workers = min(workers, len(shard_specs))
+    chunks = [shard_specs[index::workers] for index in range(workers)]
+    return _WorkerGroup(chunks, lookahead)
 
 
 # ----------------------------------------------------------------------
@@ -1332,9 +760,7 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
                         teardown=True, memory_bytes=None, spec=None,
                         vf_count=None, arrivals=None, workers=None,
                         name_prefix="w", trace=None, sync="hierarchical",
-                        engine_stats=None, checkpoint_every=None,
-                        worker_context=None, eager_speculation=False,
-                        telemetry=None):
+                        engine_stats=None, telemetry=None):
     """Run one cluster churn burst over K shards; returns the summary.
 
     The summary has exactly the shape (and, for round-robin and for
@@ -1353,27 +779,14 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
             bundle (``repro.obs``): each shard records its own hosts
             and the merge is a disjoint union of host-unique tracks.
             The returned summary never contains trace data.
-        sync: ``"hierarchical"`` (the worker protocol: speculating
+        sync: ``"hierarchical"`` (the worker protocol: lockstep
             workers under a relay tree with a pipelined coordinator)
             or ``"conservative"`` (the in-process lockstep reference);
             validated by :func:`resolve_sync`.  Results are
             byte-identical across modes.
         engine_stats: Optional dict, filled with aggregated per-shard
             wheel stats plus the sync-protocol counters (epochs,
-            barrier wait, rollbacks, speculated/replayed events,
-            checkpoints/resumes and their depth histograms).
-        checkpoint_every: Fork-checkpoint cadence for speculating
-            workers, in confirmed epochs.  ``None`` adapts to the AIMD
-            window; ``0`` disables checkpoints (rollback falls back to
-            full replay from t=0).  Wall-clock only — results are
-            invariant to this knob.
-        worker_context: multiprocessing start-method name for the
-            worker processes (default ``"fork"``).  ``"spawn"``
-            exercises the no-fork-checkpoint fallback path.
-        eager_speculation: Speculate to window exhaustion *before*
-            blocking on the next protocol message instead of racing
-            the pipe.  Deterministic rollback counts (for tests and
-            benches) at the cost of the overlap the racing loop buys.
+            barrier wait, coordinator occupancy, heap operations).
         telemetry: Optional dict, filled with the wall-clock telemetry
             snapshot (``repro.obs.runtime``): per-process phase
             totals, spans, instants and wire accounting for the
@@ -1442,23 +855,19 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
     stats = _CoordinatorStats(record_spans=trace_coordinator,
                               probe=coord_probe)
     tracker = None
-    group = _make_group(
-        shard_specs, workers, sync, lookahead,
-        checkpoint_every=checkpoint_every, context=worker_context,
-        eager=eager_speculation,
-    )
+    group = _make_group(shard_specs, workers, sync, lookahead)
+    in_process = isinstance(group, _InProcessGroup)
     try:
         if placement == "round-robin":
             batches = _round_robin_plan(order, offsets, hosts, host_shard)
-            if sync == "conservative":
+            if in_process:
                 group.submit(batches)
             else:
-                # An up-front plan is one step at barrier 0 that
-                # promises no later batch: shards free-run risk-free.
-                group.step(0.0, 0.0, float("inf"), batches)
+                # An up-front plan is one step at barrier 0.
+                group.step(0.0, 0.0, batches)
         else:
             tracker = make_load_tracker(placement, hosts)
-            place = (_place_epoch_barrier if sync == "conservative"
+            place = (_place_epoch_barrier if in_process
                      else _place_epoch_steps)
             place(group, order, offsets, host_shard, tracker, lookahead,
                   stats)
@@ -1496,6 +905,9 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
         for key, value in sync_stats.items():
             if key != "mode":
                 engine_stats[f"sync_{key}"] = value
+        # Always 0 (workers never speculate); perfbench still reads them.
+        engine_stats.update(sync_rollbacks=0, sync_speculated_events=0,
+                            sync_replayed_events=0)
     if trace is not None:
         from repro.obs.metrics import MetricsRegistry, merge_metrics
         from repro.obs.recorder import merge_dumps
@@ -1661,13 +1073,12 @@ def _place_epoch_steps(group, order, offsets, host_shard, tracker,
     reply carries exactly the load decrements with time <= its epoch
     end — so the placement sequence (and with it the results) is
     byte-identical.  What changes is wall-clock: one round-trip per
-    epoch instead of two, and shards speculate into future epochs while
-    the coordinator computes.
+    epoch, with the shards of different workers advancing in parallel.
 
     Depth-2 streaming: after shipping a batched step, the next epoch's
     *batchless jump* (when the next arrival sits beyond the epoch just
     stepped) is sent before the batched step's replies are drained.
-    The message sequence is the serial one — a jump's content is three
+    The message sequence is the serial one — a jump's content is two
     copies of its barrier, independent of any reply — and every reply
     is still applied to the tracker before the next placement decision,
     so the load vector each pick sees is identical.  Only the waiting
@@ -1677,7 +1088,6 @@ def _place_epoch_steps(group, order, offsets, host_shard, tracker,
     pending = 0
     position = 0
     count = len(order)
-    adversarial = _adversarial_safe()
 
     def drain_replies():
         nonlocal pending
@@ -1693,13 +1103,11 @@ def _place_epoch_steps(group, order, offsets, host_shard, tracker,
     while position < count:
         epoch = int(offsets[order[position]] // lookahead)
         if epoch > barrier_epoch:
-            # Jump over empty epochs in one batchless step — no batch
-            # means no rollback can trigger; speculating shards simply
-            # commit whatever they ran ahead.  (This branch only fires
-            # for the very first arrival: later jumps were already
-            # streamed right behind their batched step.)
+            # Jump over empty epochs in one batchless step.  (This
+            # branch only fires for the very first arrival: later jumps
+            # were already streamed right behind their batched step.)
             barrier = epoch * lookahead
-            group.step_send(barrier, barrier, barrier, {})
+            group.step_send(barrier, barrier, {})
             pending += 1
             barrier_epoch = epoch
         drain_replies()
@@ -1716,32 +1124,16 @@ def _place_epoch_steps(group, order, offsets, host_shard, tracker,
             )
         stats.note("place", began)
         runtime.note_progress(position, count, epoch)
-        # The arrival schedule is known up front, so the earliest
-        # barrier any *future* batch can carry is the next unplaced
-        # arrival's epoch start — shipped with the step as the shards'
-        # risk-free speculation bound (infinity once placement is done).
-        # The adversarial test mode under-promises (the current barrier
-        # — a valid bound, just maximally pessimistic), so pinned-open
-        # windows speculate riskily and conflict on nearly every
-        # batched epoch: the rollback-storm regime.
-        if adversarial:
-            safe = barrier
-        elif position < count:
-            safe = int(offsets[order[position]] // lookahead) * lookahead
-        else:
-            safe = float("inf")
-        group.step_send(barrier, epoch_end, safe, batches)
+        group.step_send(barrier, epoch_end, batches)
         pending += 1
         barrier_epoch = epoch + 1
         if position < count:
             next_epoch = int(offsets[order[position]] // lookahead)
             if next_epoch > barrier_epoch:
                 # Stream the next jump behind the batched step: its
-                # payload is independent of the in-flight replies, and
-                # the jump's safe bound equals its own barrier exactly
-                # as the serial loop would send it.
+                # payload is independent of the in-flight replies.
                 jump = next_epoch * lookahead
-                group.step_send(jump, jump, jump, {})
+                group.step_send(jump, jump, {})
                 pending += 1
                 barrier_epoch = next_epoch
     drain_replies()

@@ -17,7 +17,7 @@ first byte of every frame discriminates:
 ====  ==============================================================
 tag   frame
 ====  ==============================================================
-``S`` step: ``barrier, epoch_end, safe`` doubles + batch sections
+``S`` step: ``barrier, epoch_end`` doubles + batch sections
 ``L`` load digest: count + hosts ``array('q')`` + counts ``array('q')``
 ``K`` bare ``("ok", None)`` acknowledgement
 ``P`` pickled payload (everything else)
@@ -67,7 +67,7 @@ import struct
 import time
 from array import array
 
-_HEAD_STEP = struct.Struct("=ddd")
+_HEAD_STEP = struct.Struct("=dd")
 _HEAD_COUNT = struct.Struct("=I")
 _HEAD_BATCH = struct.Struct("=II")
 
@@ -157,8 +157,8 @@ def encode(message):
     """One protocol message -> bytes (packed when hot, pickled else)."""
     op = message[0]
     if op == "step":
-        _op, barrier, epoch_end, safe, batches = message
-        out = [b"S", _HEAD_STEP.pack(barrier, epoch_end, safe)]
+        _op, barrier, epoch_end, batches = message
+        out = [b"S", _HEAD_STEP.pack(barrier, epoch_end)]
         _pack_batches(out, batches)
         return b"".join(out)
     if op == "loads" and len(message) == 2:
@@ -181,9 +181,9 @@ def decode(payload):
     """Bytes -> the exact tagged tuple that was encoded."""
     tag = payload[:1]
     if tag == b"S":
-        barrier, epoch_end, safe = _HEAD_STEP.unpack_from(payload, 1)
+        barrier, epoch_end = _HEAD_STEP.unpack_from(payload, 1)
         batches = _unpack_batches(payload, 1 + _HEAD_STEP.size)
-        return ("step", barrier, epoch_end, safe, batches)
+        return ("step", barrier, epoch_end, batches)
     if tag == b"K":
         return ("ok", None)
     if tag == b"L":

@@ -24,14 +24,11 @@ Knobs (``repro run scale --hosts N --placement P --shards K --sync M``
 or :meth:`Experiment.configure`): ``hosts`` (default 8 quick / 48
 full), ``placement`` ("least-loaded" default, or "round-robin"),
 ``shards`` (default 1 = single-process), ``sync`` ("hierarchical"
-default — speculating worker processes under a relay tree with a
+default — lockstep worker processes under a relay tree with a
 pipelined coordinator — or "conservative", the in-process lockstep
 reference, which runs the shards serially), ``rate``
 (arrival rate per second; 0 = the paper's simultaneous burst —
-positive rates spread arrivals and exercise the epoch protocol),
-``checkpoint_every`` (the workers' fork-checkpoint cadence in
-confirmed epochs; empty = adaptive, 0 = disabled — wall-clock only,
-results are byte-identical).
+positive rates spread arrivals and exercise the epoch protocol).
 """
 
 from repro.experiments.base import Comparison, Experiment, pct, reduction
@@ -77,10 +74,6 @@ class Scale(Experiment):
 
         return resolve_sync(self.option("sync"))
 
-    def _checkpoint_every(self):
-        value = self.option("checkpoint_every", None)
-        return None if value in (None, "") else int(value)
-
     def _shards(self, hosts):
         # Resolved here (not just in run_cluster_cell) so the resolved
         # count lands in the Cell — and therefore in cache keys and the
@@ -105,8 +98,7 @@ class Scale(Experiment):
         return [
             Cell(preset, concurrency, None, seed, kind="cluster",
                  hosts=hosts, placement=placement, shards=shards,
-                 rate_per_s=self._rate(), sync=self._sync(),
-                 checkpoint_every=self._checkpoint_every())
+                 rate_per_s=self._rate(), sync=self._sync())
             for preset in PRESETS
             for concurrency in self._sweep(quick)
         ]
@@ -123,8 +115,7 @@ class Scale(Experiment):
                     Cell(preset, concurrency, None, seed,
                          kind="cluster", hosts=hosts,
                          placement=placement, shards=shards,
-                         rate_per_s=self._rate(), sync=self._sync(),
-                         checkpoint_every=self._checkpoint_every())
+                         rate_per_s=self._rate(), sync=self._sync())
                 )
                 series[preset].append(
                     {"concurrency": concurrency, **summary}

@@ -354,21 +354,13 @@ def test_ingest_sync_stats_routes_counters_mode_and_wait():
     registry.ingest_sync_stats({
         "mode": "hierarchical",            # string -> gauge
         "epochs": 12,                      # monotone -> counter
-        "rollbacks": 3,
-        "speculated_events": 4000,
-        "replayed_events": 900,
-        "speculation_commits": 9,
-        "throttled_shards": 1,
+        "placement_heap_ops": 4000,
         "barrier_wait_s": 0.125,           # wall-clock -> gauge
     })
     snap = registry.snapshot()
     assert snap["counters"] == {
         "sync/epochs": 12,
-        "sync/rollbacks": 3,
-        "sync/speculated_events": 4000,
-        "sync/replayed_events": 900,
-        "sync/speculation_commits": 9,
-        "sync/throttled_shards": 1,
+        "sync/placement_heap_ops": 4000,
     }
     assert snap["gauges"]["sync/mode"] == "hierarchical"
     assert snap["gauges"]["sync/barrier_wait_s"] == pytest.approx(0.125)
@@ -384,7 +376,7 @@ def test_sharded_trace_carries_sync_counters_outside_the_timeline():
     def dump(sync):
         trace = {}
         run_sharded_cluster(
-            "fastiov", 24, hosts=4, seed=3, shards=2, workers=0,
+            "fastiov", 24, hosts=4, seed=3, shards=2,
             arrivals=cluster_arrivals(3, 12.0), sync=sync, trace=trace,
         )
         rendered = json.dumps(to_chrome_trace(trace), sort_keys=True,
@@ -392,9 +384,9 @@ def test_sharded_trace_carries_sync_counters_outside_the_timeline():
         return trace, rendered
 
     conservative, trace_cons = dump("conservative")
-    speculated, trace_spec = dump("hierarchical")
-    assert trace_spec == trace_cons
-    counters = speculated["metrics"]["counters"]
+    stepped, trace_steps = dump("hierarchical")
+    assert trace_steps == trace_cons
+    counters = stepped["metrics"]["counters"]
     assert counters["sync/epochs"] > 0
-    assert "sync/rollbacks" in counters
-    assert speculated["metrics"]["gauges"]["sync/mode"] == "hierarchical"
+    assert "sync/placement_heap_ops" in counters
+    assert stepped["metrics"]["gauges"]["sync/mode"] == "hierarchical"

@@ -11,11 +11,15 @@ in-process ``sync="conservative"`` reference is the oracle for those
 cells.
 """
 
+import hashlib
 import json
+import os
+import time
 
 import pytest
 
 from repro.cluster import (
+    ShardFailure,
     cluster_arrivals,
     min_startup_lookahead,
     partition_hosts,
@@ -23,6 +27,7 @@ from repro.cluster import (
     run_cluster_cell,
     run_sharded_cluster,
 )
+from repro.cluster.shard import ClusterShard
 from repro.core import PRESETS
 from repro.spec import PAPER_TESTBED
 
@@ -345,14 +350,63 @@ def test_shard_worker_failure_surfaces_as_runtime_error():
         run_sharded_cluster("no-such-preset", 10, hosts=2, shards=2)
 
 
+def test_dead_worker_raises_named_shard_failure(monkeypatch):
+    """A worker that dies mid-protocol (here: the second shard exits
+    with code 9 while submitting its first batch; the patch is
+    inherited over fork) surfaces as a ShardFailure naming that shard,
+    its host range and its exit code — not a bare EOFError — and the
+    group still shuts down promptly."""
+    submit = ClusterShard.submit
+
+    def dying_submit(self, assignments, name_prefix="w"):
+        if self.host_start > 0:
+            os._exit(9)
+        return submit(self, assignments, name_prefix)
+
+    monkeypatch.setattr(ClusterShard, "submit", dying_submit)
+    began = time.monotonic()
+    with pytest.raises(ShardFailure) as caught:
+        run_sharded_cluster(
+            "fastiov", 20, hosts=4, seed=1, shards=2,
+            arrivals=cluster_arrivals(1, 50.0), sync="hierarchical",
+        )
+    assert time.monotonic() - began < 30.0
+    failure = caught.value
+    assert failure.shard_ids == [1]
+    assert failure.hosts == [(2, 4)]
+    assert failure.exitcode == 9
+    assert failure.barrier is not None
+    assert "shards [1] (hosts [2, 4))" in str(failure)
+    assert "exit code 9" in str(failure)
+
+
 # ----------------------------------------------------------------------
-# The worker protocol: speculate past the barrier, roll back on conflict
+# The worker protocol: lockstep workers against the reference
 # ----------------------------------------------------------------------
+def test_poisson_k2_cell_matches_recorded_golden():
+    """Cross-commit golden for the benchmark's K=2 Poisson cell: count,
+    event total, mean and summary digest recorded on an earlier commit
+    must hold under real worker processes and the in-process
+    reference alike."""
+    for sync in ("hierarchical", "conservative"):
+        stats = {}
+        summary = run_cluster_cell(
+            "fastiov", 300, hosts=8, seed=1000, rate_per_s=150.0,
+            shards=2, sync=sync, engine_stats=stats,
+        )
+        assert summary["count"] == 300
+        assert stats["events_dispatched"] == 174_063
+        assert summary["mean"] == 0.9665328617909724
+        digest = hashlib.sha256(
+            json.dumps(summary, sort_keys=True).encode()
+        ).hexdigest()[:16]
+        assert digest == "68b67d399e3518a9", sync
+
+
 @pytest.mark.parametrize("shards", [2, 4, 8])
 def test_optimistic_burst_is_byte_identical_across_shards(shards):
-    """Burst cells place everything in epoch 0, so speculating shards
-    (here in-process, where speculation is eager) must hit the
-    single-process bytes exactly — speculation only moves clocks."""
+    """Burst cells place everything in epoch 0, so in-process shards
+    (``workers=0``) must hit the single-process bytes exactly."""
     base = _bytes(_single("fastiov", 80, hosts=8, seed=7))
     sharded = run_cluster_cell(
         "fastiov", 80, hosts=8, seed=7, shards=shards, workers=0,
@@ -381,12 +435,11 @@ def test_optimistic_spread_matches_conservative_exactly():
 
 
 def test_forced_rollback_replays_to_identical_results():
-    """In-process speculation is eager, so a spread cell is guaranteed
-    to mis-speculate past incoming batches; every rollback must replay
-    to the reference bytes and be counted."""
+    """A spread cell on real worker processes (3 shards over 6 hosts)
+    must commit exactly the reference's timeline."""
     stats = {}
-    speculated = run_sharded_cluster(
-        "fastiov", 60, hosts=6, seed=9, shards=3, workers=0,
+    stepped = run_sharded_cluster(
+        "fastiov", 60, hosts=6, seed=9, shards=3, workers=None,
         arrivals=cluster_arrivals(9, 15.0), sync="hierarchical",
         engine_stats=stats,
     )
@@ -394,55 +447,62 @@ def test_forced_rollback_replays_to_identical_results():
         "fastiov", 60, hosts=6, seed=9, shards=3, workers=0,
         arrivals=cluster_arrivals(9, 15.0), sync="conservative",
     )
-    assert _bytes(speculated) == _bytes(conservative)
+    assert _bytes(stepped) == _bytes(conservative)
     assert stats["sync_mode"] == "hierarchical"
-    assert stats["sync_rollbacks"] >= 1
-    assert stats["sync_speculated_events"] > 0
-    assert stats["sync_replayed_events"] > 0
 
 
 def test_optimistic_survives_teardown_racing_last_placement():
     """Adversarial teardown timing: arrivals outlast lifecycles, so
     teardowns land mid-epoch while later batches are still being
-    placed.  Speculated teardowns must stay shard-local until their
-    epoch commits, and rollbacks must regenerate them exactly."""
-    stats = {}
-    speculated = run_sharded_cluster(
-        "fastiov", 40, hosts=2, seed=13, shards=2, workers=0,
+    placed.  Worker processes must report each teardown in the epoch
+    the reference sees it."""
+    stepped = run_sharded_cluster(
+        "fastiov", 40, hosts=2, seed=13, shards=2, workers=None,
         arrivals=cluster_arrivals(13, 10.0), sync="hierarchical",
-        engine_stats=stats,
     )
     conservative = run_sharded_cluster(
         "fastiov", 40, hosts=2, seed=13, shards=2, workers=0,
         arrivals=cluster_arrivals(13, 10.0), sync="conservative",
     )
-    assert _bytes(speculated) == _bytes(conservative)
+    assert _bytes(stepped) == _bytes(conservative)
     # The race happened and the pool still recycled completely.
-    assert speculated["peak_in_flight"] < 40
-    assert speculated["free_vfs_total"] == 2 * PAPER_TESTBED.nic_max_vfs
-    assert stats["sync_rollbacks"] >= 1
+    assert stepped["peak_in_flight"] < 40
+    assert stepped["free_vfs_total"] == 2 * PAPER_TESTBED.nic_max_vfs
+
+
+@pytest.mark.parametrize("seed", [3, 11, 29])
+def test_forced_rollback_never_loses_a_teardown_delta(seed):
+    """Every teardown delta a worker reports is applied exactly once.
+    A dropped delta leaks a VF (pool ends short); a double-applied one
+    overfills it; either also shifts placement and breaks identity."""
+    reference = run_sharded_cluster(
+        "fastiov", 40, hosts=2, seed=seed, shards=1,
+        arrivals=cluster_arrivals(seed, 10.0), sync="conservative",
+    )
+    summary = run_sharded_cluster(
+        "fastiov", 40, hosts=2, seed=seed, shards=2,
+        arrivals=cluster_arrivals(seed, 10.0), sync="hierarchical",
+    )
+    assert _bytes(summary) == _bytes(reference)
+    assert summary["free_vfs_total"] == 2 * PAPER_TESTBED.nic_max_vfs
 
 
 def test_engine_stats_exports_sync_counters():
     stats = {}
     run_cluster_cell(
         "fastiov", 30, hosts=4, seed=2, shards=2, sync="hierarchical",
-        rate_per_s=12.0, workers=0, engine_stats=stats,
+        rate_per_s=12.0, engine_stats=stats,
     )
     assert stats["shards"] == 2
     assert stats["sync_mode"] == "hierarchical"
-    for key in ("sync_epochs", "sync_rollbacks", "sync_speculated_events",
-                "sync_replayed_events", "sync_speculation_commits",
-                "sync_throttled_shards", "sync_barrier_wait_s",
-                "sync_checkpoints", "sync_checkpoint_resumes",
-                "sync_full_replays", "sync_checkpoint_age_epochs",
-                "sync_rollback_depth_hist", "sync_replay_distance_hist"):
+    for key in ("sync_epochs", "sync_barrier_wait_s",
+                "sync_coordinator_wait_s", "sync_placement_heap_ops"):
         assert key in stats, f"missing {key}"
     assert stats["sync_epochs"] > 0
-    # In-process groups cannot sacrifice their own process image, so
-    # they never fork checkpoints — every rollback is a full replay.
-    assert stats["sync_checkpoints"] == 0
-    assert stats["sync_full_replays"] == stats["sync_rollbacks"]
+    # Kept at zero for readers of the former speculation counters.
+    for key in ("sync_rollbacks", "sync_speculated_events",
+                "sync_replayed_events"):
+        assert stats[key] == 0, key
 
 
 # ----------------------------------------------------------------------
@@ -489,22 +549,19 @@ def test_hierarchical_fan_in_is_results_invariant(monkeypatch, fan_in):
 
 
 def test_hierarchical_rollback_storm_is_byte_identical(monkeypatch):
-    """The adversarial regime (safe pinned to the barrier, windows
-    pinned open) hammers the checkpoint handover *through the relay
-    tree*: conflicts swap worker processes mid-run while up to two
-    step requests ride the inherited pipes."""
+    """Eight workers under fan-in-2 relays (a three-level tree) against the
+    reference at a different shard count: up to two pipelined step
+    requests ride every pipe of the tree."""
     from repro.cluster import sharded
 
     reference = _bytes(run_sharded_cluster(
         "fastiov", 60, hosts=8, seed=9, shards=2,
         arrivals=cluster_arrivals(9, 15.0), sync="conservative",
     ))
-    monkeypatch.setenv("REPRO_OPTIMISTIC_ADVERSARIAL_SAFE", "1")
     monkeypatch.setattr(sharded, "RELAY_FAN_IN", 2)
     summary = run_sharded_cluster(
         "fastiov", 60, hosts=8, seed=9, shards=8, workers=None,
         arrivals=cluster_arrivals(9, 15.0), sync="hierarchical",
-        checkpoint_every=1,
     )
     assert _bytes(summary) == reference
 

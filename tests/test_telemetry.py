@@ -64,20 +64,20 @@ def test_probe_lap_accumulates_and_chains():
 def test_probe_flush_is_incremental():
     probe = RuntimeProbe("worker-1", hosts=[[0, 4]])
     probe.lap("compute", probe.begin())
-    probe.instant("rollback")
-    probe.count("rollbacks")
+    probe.instant("marker")
+    probe.count("frames")
     probe.gauge("frontier_epoch", 7)
     first = probe.flush()
     assert first["ident"] == "worker-1"
     assert first["hosts"] == [[0, 4]]
     assert len(first["spans"]) == 1
-    assert [name for _rel, name in first["instants"]] == ["rollback"]
-    assert first["counters"] == {"rollbacks": 1}
+    assert [name for _rel, name in first["instants"]] == ["marker"]
+    assert first["counters"] == {"frames": 1}
     assert first["gauges"] == {"frontier_epoch": 7}
     # spans/instants drain; cumulative scalars persist
     second = probe.flush()
     assert second["spans"] == [] and second["instants"] == []
-    assert second["counters"] == {"rollbacks": 1}
+    assert second["counters"] == {"frames": 1}
     assert second["phases"]["compute"][1] == 1
 
 
@@ -92,26 +92,8 @@ def test_probe_span_buffer_bounded():
     # totals stay exact even when spans drop
     assert record["phases"]["compute"][1] == MAX_PENDING_SPANS + 10
     for _ in range(MAX_PENDING_INSTANTS + 5):
-        probe.instant("rollback")
+        probe.instant("marker")
     assert len(probe.flush()["instants"]) == MAX_PENDING_INSTANTS
-
-
-def test_probe_pack_adopt_carries_totals_drops_pending():
-    probe = RuntimeProbe("worker-0")
-    probe.lap("speculate", probe.begin())
-    probe.count("epochs", 5)
-    probe.wire.note_tx("S", 100)
-    packed = probe.pack()
-    # a fresh probe (the checkpoint child) adopts the totals
-    child = RuntimeProbe("worker-0")
-    child.adopt(packed)
-    assert child.counters == {"epochs": 5}
-    assert child.phase_n == {"speculate": 1}
-    assert child.wire.tx == {"S": [1, 100]}
-    # the parent's unflushed span died with it, counted as dropped
-    record = child.flush()
-    assert record["spans"] == []
-    assert record["dropped_spans"] == 1
 
 
 def test_wire_stats_accounting():
@@ -135,11 +117,10 @@ def test_record_buffer_drains():
 # ----------------------------------------------------------------------
 # aggregator
 # ----------------------------------------------------------------------
-def _record(ident, wall0=100.0, epochs=0, rollbacks=0, **extra):
+def _record(ident, wall0=100.0, epochs=0, **extra):
     record = {
         "ident": ident, "pid": 1234, "wall0": wall0, "up_s": 1.0,
-        "phases": {}, "counters": {"epochs": epochs,
-                                   "rollbacks": rollbacks},
+        "phases": {}, "counters": {"epochs": epochs},
         "gauges": {}, "wire": {"tx": {}, "rx": {}},
         "spans": [], "instants": [], "dropped_spans": 0,
     }
@@ -164,12 +145,12 @@ def test_aggregator_keeps_latest_and_accumulates_spans():
                         spans=[("compute", 0.0, 0.5)])])
     agg.ingest([_record("worker-0", epochs=2,
                         spans=[("compute", 0.5, 0.9)],
-                        instants=[(0.7, "rollback")])])
+                        instants=[(0.7, "marker")])])
     snap = agg.snapshot()
     record = snap["processes"]["worker-0"]
     assert record["counters"]["epochs"] == 2
     assert len(record["spans"]) == 2
-    assert record["instants"] == [[0.7, "rollback"]]
+    assert record["instants"] == [[0.7, "marker"]]
     assert json.loads(json.dumps(snap))  # plain JSON-able
 
 
@@ -189,8 +170,8 @@ def test_aggregator_progress_and_rates():
     agg.ingest([_record("worker-0")])
     assert agg.snapshot()["progress"] == [10, 100, 3]
     # fewer than two samples -> zero rates, no crash
-    assert agg.rates("worker-0") == (0.0, 0.0, 0.0)
-    assert agg.rates("missing") == (0.0, 0.0, 0.0)
+    assert agg.rates("worker-0") == (0.0, 0.0)
+    assert agg.rates("missing") == (0.0, 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -234,10 +215,10 @@ def test_telemetry_envelope_without_sink_still_decodes():
 
 def test_plain_send_has_no_envelope():
     parent, child = multiprocessing.Pipe()
-    wire.send(parent, ("step", 2.5, 2.5, 2.5, {}))
+    wire.send(parent, ("step", 2.5, 2.5, {}))
     raw = child.recv_bytes()
     assert raw[:1] == b"S"
-    assert wire.decode(raw) == ("step", 2.5, 2.5, 2.5, {})
+    assert wire.decode(raw) == ("step", 2.5, 2.5, {})
     parent.close(), child.close()
 
 
@@ -442,14 +423,14 @@ def test_render_layout():
     agg.note_progress(50, 100, 4)
     agg.ingest([
         _record("coordinator", wall0=100.0),
-        _record("worker-0", wall0=100.5, epochs=12, rollbacks=3,
+        _record("worker-0", wall0=100.5, epochs=12,
                 wire={"tx": {"A": [12, 1200]}, "rx": {"S": [12, 5000]}},
                 phases={"compute": [0.6, 12], "barrier_wait": [0.2, 12]}),
     ])
     text = render(agg, now=101.0, eta_s=30.0)
     assert "50/100" in text
     assert "coordinator" in text and "worker-0" in text
-    for column in ("comp", "barr", "spec"):
+    for column in ("comp", "barr", "ipc_s"):
         assert column in text
     assert "wire" in text
 
