@@ -42,6 +42,11 @@ for.
 ``fastiovd_scan_pages_per_s`` is a per-layer number: background pages
 fastiovd's scanner zeroes per wall second on a fixed one-host lazy
 table with no guest traffic (median of repeats; reported, not gated).
+``ept_faults_per_s`` is the same kind of number for KVM's EPT-fault
+path: guest first-touch faults serviced per wall second on one vanilla
+host whose microVMs read their pinned RAM once.  Every report and flat
+metric file records ``nproc`` (``os.cpu_count()``), the Python version
+and the checkout's git ``commit`` (null outside a git checkout).
 
 ``--sharded-speedup`` is the headline number of the sharded runner: one
 heavy cluster cell (48 hosts, 2000 startups) timed single-process and at
@@ -65,6 +70,7 @@ import os
 import pathlib
 import platform
 import statistics
+import subprocess
 import sys
 import time
 
@@ -273,6 +279,65 @@ def fastiovd_scan_pages_per_s(vms=16, vm_bytes=1 << 30, repeats=5):
         return pages / elapsed
 
     return statistics.median(one_run() for _ in range(repeats))
+
+
+def ept_faults_per_s(vms=32, vm_bytes=1 << 30, repeats=5):
+    """Per-layer number for KVM's EPT-fault path: guest first-touch
+    faults serviced per wall second.
+
+    On one paper-testbed vanilla host, ``vms`` microVMs each get
+    ``vm_bytes`` of VFIO-pinned, eagerly zeroed RAM in one memory slot
+    (set up in a first, untimed run).  Each VM then reads every page
+    once, so every page takes one EPT fault.  Only that second
+    ``Simulator.run`` is timed, and the median over ``repeats`` fresh
+    hosts is returned (reported, not gated).
+    """
+    from repro.core.host import build_host
+    from repro.oskernel.kvm import PinnedBacking
+
+    def one_run():
+        host = build_host("vanilla")
+        kvm, vfio = host.kvm, host.vfio
+        vms_ready = []
+
+        def setup(index):
+            name = f"vm{index}"
+            vm = kvm.create_vm(name, host.memory.page_size)
+            region = yield from vfio.dma_map(
+                vfio.create_domain(name), owner=name, label="ram",
+                nbytes=vm_bytes, gpa_base=0,
+            )
+            yield from kvm.register_slot(vm, 0, PinnedBacking(region), "ram")
+            vms_ready.append(vm)
+
+        for index in range(vms):
+            host.sim.spawn(setup(index))
+        host.sim.run()
+        for vm in vms_ready:
+            host.sim.spawn(kvm.guest_touch_range(vm, 0, vm_bytes))
+        before = kvm.ept_faults_serviced
+        started = time.perf_counter()
+        host.sim.run()
+        elapsed = time.perf_counter() - started
+        faults = kvm.ept_faults_serviced - before
+        assert faults == vms * (vm_bytes // host.memory.page_size)
+        return faults / elapsed
+
+    return statistics.median(one_run() for _ in range(repeats))
+
+
+def _git_commit():
+    """The checkout's HEAD commit, or None outside a git checkout."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True,
+            text=True, timeout=10,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if out.returncode != 0:
+        return None
+    return out.stdout.strip() or None
 
 
 def _timed_run(factory, jobs, repeats):
@@ -728,6 +793,8 @@ def main(argv=None):
           f"ticker speedup {ticker_speedup:.2f}x")
     scan_pages_per_s = round(fastiovd_scan_pages_per_s())
     print(f"{'fastiovd-scan':14s} {scan_pages_per_s:9,} pages/s")
+    faults_per_s = round(ept_faults_per_s())
+    print(f"{'ept-faults':14s} {faults_per_s:9,} faults/s")
     timings = measure(EXPERIMENTS, jobs=args.jobs)
     sync_stats = measure_sync_stats()
     print(f"{'sync-counters':14s} epochs={sync_stats['epochs']} "
@@ -749,8 +816,11 @@ def main(argv=None):
         "engine_daemon_tick_events_per_sec_per_timer": daemon_eps_per_timer,
         "daemon_ticker_speedup_x": ticker_speedup,
         "fastiovd_scan_pages_per_s": scan_pages_per_s,
+        "ept_faults_per_s": faults_per_s,
         "python": platform.python_version(),
         "machine": platform.machine(),
+        "nproc": os.cpu_count(),
+        "commit": _git_commit(),
         "jobs": args.jobs or 1,
     }
     if args.sharded_speedup:
@@ -789,6 +859,9 @@ def main(argv=None):
     )
     metrics["daemon_ticker_speedup_x"] = ticker_speedup
     metrics["fastiovd_scan_pages_per_s"] = scan_pages_per_s
+    metrics["ept_faults_per_s"] = faults_per_s
+    for key in ("nproc", "python", "commit"):
+        metrics[key] = report[key]
     metrics["probe_overhead_frac"] = probe_overhead
     for key, value in sync_stats.items():
         metrics[f"sync_{key}"] = value

@@ -1,14 +1,17 @@
 """Extended Page Table: GPA -> HPA translation for one microVM.
 
 The EPT is the hardware-assisted second-stage table the guest CPU uses
-(§2.2 step iv).  Entries are installed *on first access*: a miss raises
-:class:`EptFault`, which KVM services (§4.3.2, Fig. 9).  FastIOV's lazy
+(§2.2 step iv).  Entries are installed *on first access*: a miss is an
+EPT violation, which KVM services (§4.3.2, Fig. 9).  FastIOV's lazy
 zeroing piggybacks on exactly this fault: the page is zeroed in the KVM
 fault handler right before the entry is inserted, and subsequent
 accesses translate in hardware with no interception.
 
 The table is pure state; fault-servicing time is charged by
-:class:`repro.oskernel.kvm.KVM`.
+:class:`repro.oskernel.kvm.KVM`, whose guest touch loop reads
+:attr:`EPT.entries` directly and counts a miss in ``fault_count``
+exactly as :meth:`EPT.translate` does (which raises :class:`EptFault`
+for direct callers).
 """
 
 from repro.hw.errors import HardwareError
@@ -33,18 +36,20 @@ class EPT:
     def __init__(self, vm_name, page_size):
         self.vm_name = vm_name
         self.page_size = page_size
-        self._entries = {}  # gpa (page-aligned) -> Page
+        #: gpa (page-aligned) -> Page.  Read-only outside this class:
+        #: entries change only through :meth:`insert` / :meth:`invalidate`.
+        self.entries = {}
         self.fault_count = 0
 
     @property
     def entry_count(self):
-        return len(self._entries)
+        return len(self.entries)
 
     def align(self, gpa):
         return (gpa // self.page_size) * self.page_size
 
     def has_entry(self, gpa):
-        return self.align(gpa) in self._entries
+        return self.align(gpa) in self.entries
 
     def translate(self, gpa):
         """Translate a GPA; raise :class:`EptFault` on a missing entry.
@@ -54,7 +59,7 @@ class EPT:
         interception happens once per page (§6.5).
         """
         base = self.align(gpa)
-        page = self._entries.get(base)
+        page = self.entries.get(base)
         if page is None:
             self.fault_count += 1
             raise EptFault(self.vm_name, base)
@@ -63,7 +68,7 @@ class EPT:
     def insert(self, gpa, page):
         """Install a GPA -> page entry (done by KVM after a fault)."""
         base = self.align(gpa)
-        if base in self._entries:
+        if base in self.entries:
             raise HardwareError(
                 f"EPT {self.vm_name!r}: duplicate entry for GPA {base:#x}"
             )
@@ -72,13 +77,13 @@ class EPT:
                 f"EPT {self.vm_name!r}: page size {page.size} != EPT "
                 f"granularity {self.page_size}"
             )
-        self._entries[base] = page
+        self.entries[base] = page
 
     def invalidate(self, gpa):
         base = self.align(gpa)
-        if base not in self._entries:
+        if base not in self.entries:
             raise HardwareError(f"EPT {self.vm_name!r}: no entry at {base:#x}")
-        del self._entries[base]
+        del self.entries[base]
 
     def __repr__(self):
         return (

@@ -15,7 +15,7 @@ Memory slots can be backed two ways, matching the two startup paths:
   (:class:`~repro.oskernel.mmu.AnonMapping`; No-Net/software-CNI path).
 """
 
-from repro.hw.ept import EPT, EptFault
+from repro.hw.ept import EPT
 from repro.oskernel.errors import GuestCrash, KernelError
 from repro.sim.core import Timeout
 
@@ -99,19 +99,24 @@ class FileBacking:
 
 
 class MemorySlot:
-    """One GPA window mapped to host memory (KVM memslot)."""
+    """One GPA window mapped to host memory (KVM memslot).
+
+    A backing's size is fixed, so the window's end is computed once:
+    :meth:`KvmVM.find_slot` runs on every EPT fault.
+    """
 
     def __init__(self, gpa_base, backing, label):
         self.gpa_base = gpa_base
         self.backing = backing
         self.label = label
+        self.gpa_end = gpa_base + backing.size_bytes
 
     @property
     def size_bytes(self):
-        return self.backing.size_bytes
+        return self.gpa_end - self.gpa_base
 
     def contains(self, gpa):
-        return self.gpa_base <= gpa < self.gpa_base + self.size_bytes
+        return self.gpa_base <= gpa < self.gpa_end
 
     def __repr__(self):
         return (
@@ -131,7 +136,7 @@ class KvmVM:
 
     def find_slot(self, gpa):
         for slot in self.slots:
-            if slot.contains(gpa):
+            if slot.gpa_base <= gpa < slot.gpa_end:
                 return slot, gpa - slot.gpa_base
         raise KernelError(f"VM {self.name!r}: GPA {gpa:#x} hits no memory slot")
 
@@ -149,6 +154,8 @@ class KVM:
         self._fastiovd = fastiovd
         self.ept_faults_serviced = 0
         self._vms = {}
+        # Commands are stateless, so every fault yields the same one.
+        self._fault_cost = Timeout(spec.ept_fault_s)
 
     def create_vm(self, name, page_size, pid=None):
         if name in self._vms:
@@ -183,10 +190,15 @@ class KVM:
         Order matters for correctness: the page is resolved, *then*
         lazily zeroed if pending, and only then does the EPT entry
         appear — the guest can never translate to a residual frame.
+        Pinned frames (and already-faulted anon/file pages) resolve
+        without a generator; only a host demand fault runs one.
         """
-        yield Timeout(self._spec.ept_fault_s)
+        yield self._fault_cost
         slot, offset = vm.find_slot(gpa)
-        page = yield from slot.backing.page_at_offset(offset)
+        backing = slot.backing
+        page = backing.page_if_resident(offset)
+        if page is None:
+            page = yield from backing.page_at_offset(offset)
         if self._fastiovd is not None:
             yield from self._fastiovd.on_ept_fault(vm.pid, page)
         if not vm.ept.has_entry(gpa):
@@ -215,7 +227,7 @@ class KVM:
             slot, offset = vm.find_slot(gpa)
             bulk = getattr(slot.backing, "write_range", None)
             if bulk is not None:
-                limit = min(end, slot.gpa_base + slot.size_bytes)
+                limit = min(end, slot.gpa_end)
                 bulk(offset, limit - gpa, tag)
                 gpa = limit
                 continue
@@ -238,7 +250,7 @@ class KVM:
             slot, offset = vm.find_slot(gpa)
             bulk = getattr(slot.backing, "read_range", None)
             if bulk is not None:
-                limit = min(end, slot.gpa_base + slot.size_bytes)
+                limit = min(end, slot.gpa_end)
                 tags.extend(bulk(offset, limit - gpa, reader))
                 gpa = limit
                 continue
@@ -251,42 +263,46 @@ class KVM:
     # guest memory access helpers (used by the virt layer)
     # ------------------------------------------------------------------
     def guest_access(self, vm, gpa, write=False, tag=None, expect=_UNSET):
-        """One guest access to ``gpa`` (page granularity).
+        """One guest access to ``gpa`` (page granularity); returns the page.
 
         Reads enforce the residual-leak check and, when ``expect`` is
         given, verify the content tag — a mismatch is a
         :class:`GuestCrash` (lazy zeroing clobbered real data).
         """
-        try:
-            page, _offset = vm.ept.translate(gpa)
-        except EptFault:
-            page = yield from self.handle_ept_fault(vm, vm.ept.align(gpa))
-        if write:
-            page.write(tag)
-        else:
-            found = page.read(vm.name)
-            if expect is not _UNSET and found != expect:
-                raise GuestCrash(vm.name, gpa, expect, found)
-        return page
+        yield from self.guest_touch_range(
+            vm, gpa, 1, write=write, tag=tag, expect=expect,
+            verify=expect is not _UNSET,
+        )
+        return vm.ept.entries[vm.ept.align(gpa)]
 
     def guest_touch_range(self, vm, gpa_base, nbytes, write=False, tag=None,
                           expect=None, verify=False):
         """Touch every page in [gpa_base, gpa_base + nbytes).
 
         ``verify=True`` makes reads assert the expected content tag.
+        This is the guest's only access loop: a present EPT entry is one
+        dict lookup; a missing one counts a violation (as
+        :meth:`EPT.translate` does) and runs :meth:`handle_ept_fault`.
         """
         if nbytes <= 0:
             raise ValueError(f"touch length must be positive, got {nbytes}")
-        page_size = vm.ept.page_size
-        gpa = vm.ept.align(gpa_base)
+        ept = vm.ept
+        entries = ept.entries
+        page_size = ept.page_size
+        reader = vm.name
+        gpa = (gpa_base // page_size) * page_size
         end = gpa_base + nbytes
         while gpa < end:
+            page = entries.get(gpa)
+            if page is None:
+                ept.fault_count += 1
+                page = yield from self.handle_ept_fault(vm, gpa)
             if write:
-                yield from self.guest_access(vm, gpa, write=True, tag=tag)
-            elif verify:
-                yield from self.guest_access(vm, gpa, expect=expect)
+                page.write(tag)
             else:
-                yield from self.guest_access(vm, gpa)
+                found = page.read(reader)
+                if verify and found != expect:
+                    raise GuestCrash(reader, gpa, expect, found)
             gpa += page_size
 
     def __repr__(self):

@@ -61,26 +61,16 @@ class FairShareCPU:
         "_admit_seq",
         "_last_update",
         "_version",
-        "_reap_stale",
-        "_timer",
         "total_core_seconds",
         "busy_core_seconds",
     )
 
-    def __init__(self, sim, cores, name="cpu", reap_stale=False):
-        """``reap_stale=True`` cancels superseded completion events via
-        the engine's Timer handles instead of letting them dispatch as
-        version-guarded no-ops.  Off by default: stale no-op dispatches
-        are counted in ``Simulator.events_dispatched``, which experiment
-        summaries report, so reaping is opt-in for workloads (tests,
-        benchmarks) that don't need historical byte-identity."""
+    def __init__(self, sim, cores, name="cpu"):
         if cores <= 0:
             raise ValueError(f"cores must be positive, got {cores}")
         self._sim = sim
         self.cores = cores
         self.name = name
-        self._reap_stale = reap_stale
-        self._timer = None
         #: Cumulative core-seconds of service received by any job that has
         #: been runnable the whole time (the fair-queueing virtual clock).
         self._virtual = 0.0
@@ -152,23 +142,14 @@ class FairShareCPU:
     def _reschedule(self):
         """Schedule the next job completion (invalidating older ones)."""
         self._version += 1
-        if self._reap_stale:
-            timer = self._timer
-            if timer is not None:
-                timer.cancel()
-                self._timer = None
         if not self._heap:
             return
         rate = min(1.0, self.cores / len(self._heap))
         shortest = self._heap[0][0] - self._virtual
         eta = self._sim.now + max(0.0, shortest) / rate
-        sim = self._sim
-        if self._reap_stale and eta > sim.now:
-            self._timer = sim.call_at(eta, self._on_completion, self._version)
-        else:
-            # An eta at the current instant goes through the ready ring
-            # (not cancellable, but it dispatches immediately anyway).
-            sim.schedule(eta, self._on_completion, self._version)
+        # Superseded completions still dispatch, as version-guarded
+        # no-ops: cancelling them through Timer handles costs more.
+        self._sim.schedule(eta, self._on_completion, self._version)
 
     def _on_completion(self, version):
         if version != self._version:

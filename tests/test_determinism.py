@@ -203,3 +203,21 @@ def test_fastiov_cell_matches_pinned_golden():
     assert startup.count == 60
     assert startup.mean == 1.6540381091894933
     assert startup.p99 == 2.436932933905095
+
+
+def test_vanilla_cell_matches_pinned_golden():
+    """Pinned values of one vanilla cell (60 startups, seed 5).
+
+    Vanilla skips fastiovd, so nearly half its events are guest EPT
+    faults; these numbers were recorded before the guest touch loop
+    stopped raising an exception and running a generator per page.
+    """
+    from repro.experiments.runs import launch_preset
+
+    host, result = launch_preset("vanilla", 60, seed=5)
+    assert host.sim.events_dispatched == 8332
+    assert host.kvm.ept_faults_serviced == 3480
+    startup = result.startup_times()
+    assert startup.count == 60
+    assert startup.mean == 5.887012299228468
+    assert startup.p99 == 9.201916954399103

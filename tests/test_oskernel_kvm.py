@@ -88,6 +88,88 @@ def test_guest_touch_range_faults_each_page_once(rig):
     assert vm.ept.fault_count == 8
 
 
+def test_concurrent_faults_on_one_page_insert_one_entry(rig):
+    """Two processes of one VM miss the same page before either fault is
+    serviced: both violations count, the EPT gets one entry, and the
+    second fault does not re-insert it (no duplicate-entry error)."""
+    state = build_vm(rig)
+    vm = state["vm"]
+    pages = []
+
+    def toucher():
+        pages.append((yield from rig.kvm.guest_access(vm, 3 * MIB)))
+
+    rig.sim.spawn(toucher())
+    rig.sim.spawn(toucher())
+    rig.run()
+    assert vm.ept.fault_count == 2
+    assert rig.kvm.ept_faults_serviced == 2
+    assert vm.ept.entry_count == 1
+    assert pages[0] is pages[1] is vm.ept.entries[3 * MIB]
+    assert pages[0] is state["region"].pages[3]
+
+
+def test_touch_range_across_adjacent_slots_resolves_each_page(rig):
+    """One touch spanning two adjacent slots: every page lands in the
+    slot that covers its GPA, at the right offset."""
+    state = {}
+
+    def flow():
+        vm = rig.kvm.create_vm("vm0", rig.memory.page_size)
+        low = AnonBacking(rig.mmu.create_mapping("vm0", "low", 3 * MIB))
+        high = AnonBacking(rig.mmu.create_mapping("vm0", "high", 4 * MIB))
+        yield from rig.kvm.register_slot(vm, 0, low, "low")
+        yield from rig.kvm.register_slot(vm, 3 * MIB, high, "high")
+        yield from rig.kvm.guest_touch_range(
+            vm, MIB + 5, 4 * MIB, write=True, tag="span")
+        state.update(vm=vm, low=low, high=high)
+
+    rig.sim.spawn(flow())
+    rig.run()
+    vm, low, high = state["vm"], state["low"], state["high"]
+    assert vm.ept.fault_count == 5  # pages at 1..5 MiB
+    expected = {
+        1 * MIB: (low, 1 * MIB),
+        2 * MIB: (low, 2 * MIB),
+        3 * MIB: (high, 0),
+        4 * MIB: (high, 1 * MIB),
+        5 * MIB: (high, 2 * MIB),
+    }
+    assert sorted(vm.ept.entries) == sorted(expected)
+    for gpa, (backing, offset) in expected.items():
+        page = vm.ept.entries[gpa]
+        assert page is backing.page_if_resident(offset)
+        assert page.content_tag == "span"
+    assert low.page_if_resident(0) is None
+    assert high.page_if_resident(3 * MIB) is None
+
+
+def test_resident_anon_page_faults_without_a_second_host_fault(rig):
+    """A page the host already demand-faulted (a backend write) costs
+    the guest only the EPT fault: no second host fault or scrub."""
+    spec = rig.spec
+    state = {}
+
+    def flow():
+        vm = rig.kvm.create_vm("vm0", rig.memory.page_size)
+        mapping = rig.mmu.create_mapping("vm0", "ram", 4 * MIB)
+        yield from rig.kvm.register_slot(vm, 0, AnonBacking(mapping), "ram")
+        yield from rig.kvm.host_write_range(vm, 2 * MIB, 10, "backend")
+        state["host_faults"] = rig.mmu.fault_count
+        started = rig.sim.now
+        page = yield from rig.kvm.guest_access(vm, 2 * MIB, expect="backend")
+        state.update(elapsed=rig.sim.now - started, page=page,
+                     resident=mapping.page_if_resident(2 * MIB))
+
+    rig.sim.spawn(flow())
+    rig.run()
+    assert state["host_faults"] == 1
+    assert rig.mmu.fault_count == 1
+    assert rig.kvm.ept_faults_serviced == 1
+    assert state["page"] is state["resident"]
+    assert state["elapsed"] == pytest.approx(spec.ept_fault_s)
+
+
 def test_guest_read_of_eagerly_zeroed_ram_is_clean(rig):
     state = build_vm(rig)
     vm = state["vm"]
@@ -124,6 +206,9 @@ def test_guest_read_without_zeroing_leaks(rig):
             def page_at_offset(self, offset):
                 return allocation.pages[offset // rig.memory.page_size]
                 yield
+
+            def page_if_resident(self, offset):
+                return allocation.pages[offset // rig.memory.page_size]
 
         yield from rig.kvm.register_slot(vm, 0, RawBacking(), "ram")
         yield from rig.kvm.guest_access(vm, 0)

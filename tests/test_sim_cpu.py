@@ -185,33 +185,3 @@ def test_zero_progress_guard_finishes_jobs_in_tag_order():
     sim.run()
     assert done == ["small", "large"]
 
-
-def test_reap_stale_cancels_superseded_completions():
-    """With reap_stale=True, superseded completion events are cancelled
-    timers (never dispatched) instead of version-guarded no-ops — same
-    results, fewer dispatched events."""
-    sim_plain = Simulator()
-    sim_reap = Simulator()
-    done_plain, done_reap = [], []
-
-    def workload(sim, cpu, done):
-        def proc(tag, start, amount):
-            yield Timeout(start)
-            yield cpu.work(amount)
-            done.append((tag, round(sim.now, 9)))
-
-        # Staggered admissions force repeated rescheduling, so the plain
-        # engine accumulates stale completion events.
-        for i in range(20):
-            sim.spawn(proc(i, 0.01 * i, 0.3 + 0.01 * (i % 5)))
-
-    cpu_plain = FairShareCPU(sim_plain, cores=4)
-    cpu_reap = FairShareCPU(sim_reap, cores=4, reap_stale=True)
-    workload(sim_plain, cpu_plain, done_plain)
-    workload(sim_reap, cpu_reap, done_reap)
-    sim_plain.run()
-    sim_reap.run()
-    assert done_reap == done_plain
-    assert sim_reap.now == sim_plain.now
-    assert sim_reap.events_dispatched < sim_plain.events_dispatched
-    assert sim_reap.wheel_stats()["timers_cancelled"] > 0

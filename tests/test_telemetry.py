@@ -469,6 +469,16 @@ def test_metric_direction():
     assert perf_report._metric_direction("python_version") == "info"
     assert perf_report._metric_direction(
         "fastiovd_scan_pages_per_s") == "higher"
+    assert perf_report._metric_direction("ept_faults_per_s") == "higher"
+    assert perf_report._metric_direction("nproc") == "info"
+
+
+def test_ept_fault_microbenchmark_faults_every_page_once():
+    # The function asserts its own fault count (one per touched page).
+    rate = perf_report.ept_faults_per_s(
+        vms=2, vm_bytes=64 * 1024 * 1024, repeats=1
+    )
+    assert rate > 0
 
 
 def test_fastiovd_scan_microbenchmark_drains_its_table():
