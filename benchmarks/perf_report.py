@@ -7,9 +7,9 @@ the worker protocol over a flat star), and the same spread cell at 8
 shards (``scale_hier8``: relay tree + digest replies + pipelined
 coordinator), all riding the baseline ratio gate —
 measures raw event-engine throughput with three synthetic storms (a
-dispatch-heavy mix, a timer-dense churn shape also run against the
-retained heap scheduler, and an idle-daemon tick storm run with and
-without the aggregated DaemonTicker), and writes
+dispatch-heavy mix, a timer-dense churn shape, and an idle-daemon
+tick storm run with and without the aggregated DaemonTicker), and
+writes
 ``BENCH_wallclock.json`` next to this file plus a runstamped
 ``BENCH_<runstamp>.json`` (a flat metric -> value map for downstream
 tooling; CI uploads it as an artifact) at the repo root::
@@ -77,7 +77,6 @@ import time
 HERE = pathlib.Path(__file__).resolve().parent
 ROOT = HERE.parent
 sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT))  # for tests.reference_scheduler (oracle)
 
 REPORT_PATH = HERE / "BENCH_wallclock.json"
 BASELINE_PATH = HERE / "wallclock_baseline.json"
@@ -137,8 +136,7 @@ def _noop():
     return None
 
 
-def engine_timer_events_per_sec(procs=4000, rounds=25, repeats=3,
-                                sim_factory=None):
+def engine_timer_events_per_sec(procs=4000, rounds=25, repeats=3):
     """Dispatch throughput under a *timer-dense* storm (churn shape).
 
     Every worker arms a retry timer and a deadline watchdog a few
@@ -146,20 +144,13 @@ def engine_timer_events_per_sec(procs=4000, rounds=25, repeats=3,
     the retry/deadline pattern of the cluster churn driver, where the
     timers are always ahead of the typical completion but the clock
     soon passes them.  Two hundred thousand timers are armed and
-    cancelled without ever firing; the heap engine must carry every
-    tombstone until the clock reaches its timestamp and then heappop it
-    individually (O(log n) in a heap bloated with the others), while
-    the timing wheel sweeps them out in bulk compactions and keeps its
-    per-op structures a bucket wide.  ``sim_factory`` selects the
-    engine (default: the production wheel; the report also runs
-    ``tests.reference_scheduler`` for comparison).
+    cancelled without ever firing, so the engine's tombstone handling
+    (O(1) cancel, head drops, bulk compaction) is on the measured path.
     """
     from repro.sim import Simulator, Timeout
 
-    make_sim = sim_factory or Simulator
-
     def one_run():
-        sim = make_sim()
+        sim = Simulator()
 
         def worker(index):
             for _ in range(rounds):
@@ -770,16 +761,6 @@ def main(argv=None):
     print(f"{'engine':14s} {events_per_sec:9,} events/s")
     timer_eps = round(engine_timer_events_per_sec())
     print(f"{'engine-timer':14s} {timer_eps:9,} events/s")
-    # The retained heap scheduler under the same timer-dense storm:
-    # reported (not gated) so the wheel's advantage stays visible.
-    from tests.reference_scheduler import ReferenceHeapSimulator
-
-    timer_eps_heap = round(
-        engine_timer_events_per_sec(sim_factory=ReferenceHeapSimulator)
-    )
-    wheel_speedup = round(timer_eps / timer_eps_heap, 2)
-    print(f"{'  (heap ref)':14s} {timer_eps_heap:9,} events/s  "
-          f"wheel speedup {wheel_speedup:.2f}x")
     daemon_eps = round(engine_daemon_tick_events_per_sec())
     print(f"{'engine-daemon':14s} {daemon_eps:9,} events/s")
     # The same tick storm with one private timer per daemon — the
@@ -810,8 +791,6 @@ def main(argv=None):
         "sync_stats": sync_stats,
         "engine_events_per_sec": events_per_sec,
         "engine_timer_events_per_sec": timer_eps,
-        "engine_timer_events_per_sec_heap_ref": timer_eps_heap,
-        "timer_wheel_speedup_x": wheel_speedup,
         "engine_daemon_tick_events_per_sec": daemon_eps,
         "engine_daemon_tick_events_per_sec_per_timer": daemon_eps_per_timer,
         "daemon_ticker_speedup_x": ticker_speedup,
@@ -851,8 +830,6 @@ def main(argv=None):
     metrics = {f"{name}_s": elapsed for name, elapsed in timings.items()}
     metrics["engine_events_per_sec"] = events_per_sec
     metrics["engine_timer_events_per_sec"] = timer_eps
-    metrics["engine_timer_events_per_sec_heap_ref"] = timer_eps_heap
-    metrics["timer_wheel_speedup_x"] = wheel_speedup
     metrics["engine_daemon_tick_events_per_sec"] = daemon_eps
     metrics["engine_daemon_tick_events_per_sec_per_timer"] = (
         daemon_eps_per_timer

@@ -91,9 +91,9 @@ def cmd_profile(args):
     instead of the whole run: one simulator, no harness overhead, so the
     top of the listing is the engine/model hot path a perf PR should
     attack.  Experiments without launch cells fall back to a full run.
-    ``--hot`` also prints the cell simulator's timing-wheel statistics
-    (max bucket occupancy, spill re-bucketing count, cancelled-timer
-    compactions, ...) after the profile listing.
+    ``--hot`` also prints the cell simulator's event-engine statistics
+    (cancelled timers, tombstone compactions, pending and dispatched
+    events) after the profile listing.
     """
     import cProfile
     import pstats

@@ -175,7 +175,7 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
 
     ``engine_stats``, if given, is a dict filled with the simulator's
     :meth:`~repro.sim.core.Simulator.wheel_stats` for diagnostics —
-    single-process wheel stats, or the shards' aggregated stats plus
+    single-process engine stats, or the shards' aggregated stats plus
     the sync-protocol counters (epochs, barrier wait, coordinator
     occupancy); it is never part of the returned summary.
 
@@ -187,7 +187,7 @@ def run_cluster_cell(preset, concurrency, hosts, seed=0, app_name=None,
 
     ``telemetry``, if given, is a dict filled with the wall-clock
     telemetry snapshot (``repro.obs.runtime``): per-process phase
-    totals, spans, instants and wire accounting.  Sharded runs probe
+    totals, spans and wire accounting.  Sharded runs probe
     the coordinator and every worker/relay; a single-process run gets
     one ``main`` probe timing the whole drive.  Same contract as
     ``trace``: never part of the summary.

@@ -48,11 +48,7 @@ class Cluster:
             config = preset_or_config
         self.config = config
         self.seed = seed
-        # One wheel width for the whole cluster (and the same one every
-        # shard uses), derived from the spec: sharding stays a pure
-        # wall-clock knob.
-        wheel_spec = spec if spec is not None else PAPER_TESTBED
-        self.sim = Simulator(bucket_width=wheel_spec.timer_wheel_width())
+        self.sim = Simulator()
         #: Optional flight recorder shared by every host (one simulator,
         #: one timeline); tracks stay disjoint because each host scopes
         #: its locks/daemons with its own name.
@@ -63,8 +59,9 @@ class Cluster:
         #: Cell-wide aggregated scan tick: every host's fastiovd scanner
         #: parks on this one ticker, so an idle interval costs one event
         #: for the whole cell instead of one per host.
+        scan_spec = spec if spec is not None else PAPER_TESTBED
         self.ticker = DaemonTicker(
-            self.sim, wheel_spec.fastiovd_scan_interval_s
+            self.sim, scan_spec.fastiovd_scan_interval_s
         )
         base = Jitter(seed)
         self.hosts = [

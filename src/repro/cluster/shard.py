@@ -66,10 +66,7 @@ class ClusterShard:
         self.app_name = app_name
         self.teardown = teardown
         self.memory_bytes = memory_bytes
-        # Same spec-derived wheel width as the unsharded Cluster: shard
-        # count must stay a pure wall-clock knob.
-        wheel_spec = spec if spec is not None else PAPER_TESTBED
-        self.sim = Simulator(bucket_width=wheel_spec.timer_wheel_width())
+        self.sim = Simulator()
         #: Per-shard flight recorder (``trace=True``); its dump ships
         #: with :meth:`result` and the coordinator merges the shards'
         #: tracks into one logical timeline by global host index.
@@ -81,8 +78,9 @@ class ClusterShard:
             self.trace.bind(self.sim)
         #: Shard-wide aggregated scan tick (mirrors Cluster.ticker): the
         #: shard's hosts share one scan-tick event per interval.
+        scan_spec = spec if spec is not None else PAPER_TESTBED
         self.ticker = DaemonTicker(
-            self.sim, wheel_spec.fastiovd_scan_interval_s
+            self.sim, scan_spec.fastiovd_scan_interval_s
         )
         base = Jitter(seed)
         #: Hosts keyed by *global* index.

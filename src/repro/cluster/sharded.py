@@ -785,11 +785,11 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
             validated by :func:`resolve_sync`.  Results are
             byte-identical across modes.
         engine_stats: Optional dict, filled with aggregated per-shard
-            wheel stats plus the sync-protocol counters (epochs,
+            engine stats plus the sync-protocol counters (epochs,
             barrier wait, coordinator occupancy, heap operations).
         telemetry: Optional dict, filled with the wall-clock telemetry
             snapshot (``repro.obs.runtime``): per-process phase
-            totals, spans, instants and wire accounting for the
+            totals, spans and wire accounting for the
             coordinator, every relay, and every worker.  Passing it
             (or setting ``REPRO_RUNTIME_PROBES=1``) enables the
             probes; either way results stay byte-identical — the
@@ -934,30 +934,18 @@ def run_sharded_cluster(preset, concurrency, hosts, seed=0, shards=2,
     return _merge(results, hosts, concurrency)
 
 
-#: Wheel-stat aggregation across shards: throughput/cost counters sum,
-#: high-water marks take the max, descriptive keys (bucket_width,
-#: engine name) come from the first shard.
-_WHEEL_SUM_KEYS = frozenset({
-    "events_dispatched", "pending_events", "timers_cancelled",
-    "compactions", "spill_rebuckets", "pool_slots", "pool_free",
-})
-_WHEEL_MAX_KEYS = frozenset({
-    "spill_peak", "max_bucket_occupancy", "pool_occupancy",
-})
-
-
 def _aggregate_wheel_stats(wheels):
+    """Engine stats across shards: counts sum, the engine name comes
+    from the first shard."""
     totals = {}
     for wheel in wheels:
         if not wheel:
             continue
         for key, value in wheel.items():
-            if key in _WHEEL_SUM_KEYS:
-                totals[key] = totals.get(key, 0) + value
-            elif key in _WHEEL_MAX_KEYS:
-                totals[key] = max(totals.get(key, 0), value)
-            else:
+            if isinstance(value, str):
                 totals.setdefault(key, value)
+            else:
+                totals[key] = totals.get(key, 0) + value
     return totals
 
 

@@ -149,7 +149,7 @@ def run_cell(cell):
         stats.update(host.sim.wheel_stats())
         if recorder is not None:
             # launch_preset already finalized the host (which ingests the
-            # wheel stats — a standalone host owns its simulator).
+            # engine stats — a standalone host owns its simulator).
             trace = recorder.dump()
         summary = summarize_launch(result)
     LAST_ENGINE_STATS = stats or None

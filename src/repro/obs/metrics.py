@@ -2,7 +2,7 @@
 
 Unifies the ad-hoc statistics the simulator already keeps —
 :class:`~repro.sim.sync.LockStats` on every primitive, the engine's
-timing-wheel counters — under one registry with a plain-data snapshot
+event-engine counters — under one registry with a plain-data snapshot
 shape that pickles over shard pipes and merges deterministically.
 
 Histograms store *integer bucket counts only*: floating-point sums
@@ -64,20 +64,19 @@ class MetricsRegistry:
         for key, value in stats.as_dict().items():
             self.counters[f"lock/{scope}/{key}"] = value
 
-    #: Wheel statistics that are monotone event counts; everything else
-    #: the wheel reports (configuration, peaks, end-of-run levels, the
-    #: engine-name string) merges as a gauge, where "max across shards"
-    #: is the honest reading and summing would be nonsense.
-    _WHEEL_COUNTERS = frozenset({
-        "events_dispatched", "spill_rebuckets", "compactions",
-        "timers_cancelled",
+    #: Engine statistics that are monotone event counts; everything else
+    #: the engine reports (end-of-run levels, the engine-name string)
+    #: merges as a gauge, where "max across shards" is the honest
+    #: reading and summing would be nonsense.
+    _ENGINE_COUNTERS = frozenset({
+        "events_dispatched", "compactions", "timers_cancelled",
     })
 
     def ingest_wheel_stats(self, stats, scope="engine"):
-        """Fold a simulator's timing-wheel statistics into the registry."""
+        """Fold a simulator's event-engine statistics into the registry."""
         for key, value in stats.items():
             name = f"{scope}/{key}"
-            if key in self._WHEEL_COUNTERS:
+            if key in self._ENGINE_COUNTERS:
                 self.inc(name, value)
             else:
                 self.set_gauge(name, value)

@@ -59,7 +59,6 @@ PHASES = (
 #: cannot grow a worker's telemetry buffer without bound.  Dropped
 #: spans are counted and reported.
 MAX_PENDING_SPANS = 8192
-MAX_PENDING_INSTANTS = 2048
 
 
 def probes_enabled():
@@ -118,15 +117,15 @@ class RuntimeProbe:
     The hot API is ``t0 = probe.begin()`` ... ``probe.lap(phase, t0)``
     — two ``perf_counter`` reads and a couple of dict/list operations
     per span, cheap enough to wrap every epoch-loop phase.  ``flush``
-    packages the cumulative totals plus the spans/instants recorded
-    *since the last flush* into a compact picklable record, so
-    piggybacked telemetry frames stay O(new activity), not O(uptime).
+    packages the cumulative totals plus the spans recorded *since the
+    last flush* into a compact picklable record, so piggybacked
+    telemetry frames stay O(new activity), not O(uptime).
     """
 
     __slots__ = (
         "ident", "pid", "wall0", "perf0", "phase_s", "phase_n",
         "counters", "gauges", "wire", "hosts",
-        "_spans", "_instants", "_dropped_spans",
+        "_spans", "_dropped_spans",
     )
 
     def __init__(self, ident, hosts=None):
@@ -141,7 +140,6 @@ class RuntimeProbe:
         self.wire = WireStats()
         self.hosts = hosts
         self._spans = []
-        self._instants = []
         self._dropped_spans = 0
 
     def begin(self):
@@ -166,13 +164,6 @@ class RuntimeProbe:
             self._dropped_spans += 1
         return now
 
-    def instant(self, name):
-        """Mark a point event on this process's wall timeline."""
-        if len(self._instants) < MAX_PENDING_INSTANTS:
-            self._instants.append(
-                (time.perf_counter() - self.perf0, name)
-            )
-
     def count(self, key, value=1):
         self.counters[key] = self.counters.get(key, 0) + value
 
@@ -194,13 +185,11 @@ class RuntimeProbe:
             "gauges": dict(self.gauges),
             "wire": self.wire.snapshot(),
             "spans": self._spans,
-            "instants": self._instants,
             "dropped_spans": self._dropped_spans,
         }
         if self.hosts is not None:
             record["hosts"] = list(self.hosts)
         self._spans = []
-        self._instants = []
         return record
 
 
@@ -227,7 +216,7 @@ class TelemetryAggregator:
 
     ``ingest`` is the coordinator's ``wire.TELEMETRY_SINK``: called
     with every batch of records a ``T`` envelope carried.  The latest
-    cumulative scalars are kept per process identity, spans/instants
+    cumulative scalars are kept per process identity, spans
     accumulate (they arrive incrementally), and a short rate history
     ring per identity feeds the live view's bytes/s and commit-rate
     columns.  ``snapshot`` renders the whole thing as a plain
@@ -241,7 +230,6 @@ class TelemetryAggregator:
     def __init__(self):
         self.latest = {}
         self.spans = {}
-        self.instants = {}
         self.history = {}
         self.progress = None
         self.started = time.time()
@@ -267,10 +255,6 @@ class TelemetryAggregator:
             self.latest[ident]["hosts"] = record["hosts"]
         if record["spans"]:
             self.spans.setdefault(ident, []).extend(record["spans"])
-        if record["instants"]:
-            self.instants.setdefault(ident, []).extend(
-                record["instants"]
-            )
         ring = self.history.get(ident)
         if ring is None:
             ring = self.history[ident] = deque(maxlen=self.HISTORY)
@@ -341,10 +325,6 @@ class TelemetryAggregator:
                     "spans": [
                         list(span)
                         for span in self.spans.get(ident, [])
-                    ],
-                    "instants": [
-                        list(mark)
-                        for mark in self.instants.get(ident, [])
                     ],
                 }
                 for ident in self.idents()

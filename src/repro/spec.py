@@ -248,19 +248,6 @@ class HostSpec:
         rate = self.nic_bandwidth_gbps if gbps is None else gbps
         return nbytes * 8 / (rate * 1e9)
 
-    def timer_wheel_width(self):
-        """Bucket width (s) for the engine's timing wheel, derived from
-        the spec so identical specs always build identical wheels.
-
-        The fastiovd background-scanner tick is the finest *recurring*
-        event granularity in the model; a quarter of it keeps each tick
-        cohort in its own bucket with headroom for jittered events
-        landing nearby.  Width is a pure function of the spec — never of
-        wall-clock measurement — and affects engine performance only:
-        event order is width-invariant (tested).
-        """
-        return self.fastiovd_scan_interval_s / 4
-
 
 #: The paper's testbed configuration (§3.1).
 PAPER_TESTBED = HostSpec()

@@ -1,34 +1,30 @@
-"""Differential property test: timing wheel vs the reference heap.
+"""Engine-order golden: randomized workloads pinned by sha256.
 
 Drives randomized workloads — mixed timeouts, cancellable timers,
 zero-delay resumes, equal timestamps, direct ``schedule`` calls, and
-``run_until`` epoch boundaries — through the production timing-wheel
-engine and through the retained heap oracle
-(:mod:`tests.reference_scheduler`), asserting the two produce the
-*identical* event order, dispatch count, clock, and pending-event
-accounting.
-
-Both engines share the dispatch loop (the oracle subclasses
-``Simulator`` and swaps only the future-event set), so any divergence
-is a wheel-ordering bug by construction.
+``run_until`` epoch boundaries — through :class:`repro.sim.Simulator`
+and hashes each suite's event log, dispatch count, clock and
+pending-event accounting.  The digests were recorded when two
+independent future-event sets (a timing wheel and a binary heap)
+agreed on every plan; any change to event order or accounting moves
+them.  The last three tests pin the tie-order edges directly.
 """
 
+import hashlib
 import random
 
 import pytest
 
 from repro.sim import Simulator, Timeout
-from tests.reference_scheduler import ReferenceHeapSimulator
 
-#: Quarter of the default bucket width: quantized delays force frequent
-#: equal timestamps and many events per wheel bucket.
+#: Quantized delays force frequent equal timestamps.
 QUANTUM = 0.00025
 
 N_CASES = 500
 
 
 def build_plan(seed):
-    """Generate one randomized workload as pure data (engine-agnostic)."""
+    """Generate one randomized workload as pure data."""
     rng = random.Random(seed)
     n_procs = rng.randint(2, 7)
     procs = []
@@ -37,7 +33,7 @@ def build_plan(seed):
         for _ in range(rng.randint(3, 9)):
             roll = rng.random()
             if roll < 0.40:
-                # Sleep: zero-delay, in-bucket, cross-bucket, or spill.
+                # Sleep: zero-delay, near, mid, or far future.
                 band = rng.random()
                 if band < 0.25:
                     delay = 0.0
@@ -69,8 +65,8 @@ def build_plan(seed):
     ]
     horizons = sorted(set(horizons))
     # Work submitted *between* epochs (the sharded protocol's shape):
-    # these inserts can land behind a wheel cursor that already raced
-    # ahead to a far-future timer during the previous run_until.
+    # these inserts land between the clock and far-future timers armed
+    # during the previous run_until.
     late = [
         [("sleep", QUANTUM * rng.randint(0, 3000)) for _ in range(2)]
         if rng.random() < 0.6
@@ -129,67 +125,11 @@ def run_plan(sim_factory, plan):
     return log, sim.events_dispatched, sim.now, sim.pending_events
 
 
-def test_wheel_matches_reference_heap_on_randomized_workloads():
-    mismatches = []
-    for seed in range(N_CASES):
-        plan = build_plan(seed)
-        wheel = run_plan(Simulator, plan)
-        heap = run_plan(ReferenceHeapSimulator, plan)
-        if wheel != heap:
-            mismatches.append(seed)
-    assert not mismatches, (
-        f"wheel diverged from reference heap on seeds {mismatches[:10]} "
-        f"({len(mismatches)}/{N_CASES} cases)"
-    )
-
-
-@pytest.mark.parametrize("width", [1e-5, 1e-3, 0.25, 7.0])
-def test_wheel_order_is_bucket_width_invariant(width):
-    # Event order must be a function of the workload only — bucket
-    # width (spec-derived) may change performance, never results.
-    for seed in (1, 17, 123):
-        plan = build_plan(seed)
-        base = run_plan(Simulator, plan)
-        other = run_plan(lambda: Simulator(bucket_width=width), plan)
-        assert other == base
-
-
-def test_equal_time_cohort_spanning_wheel_and_spill_levels():
-    # Events at one timestamp inserted at different clock times can land
-    # on different levels (bucket now, spill earlier); the drain must
-    # still produce pure seq order.
-    def run(sim_factory):
-        sim = sim_factory()
-        log = []
-        target = 0.001 * 300  # beyond the 256-slot window at t=0
-
-        def fire(tag):
-            log.append((tag, sim.now))
-
-        def driver():
-            sim.schedule(target, fire, "early-seq")  # spill at t=0
-            yield Timeout(target / 2)
-            sim.schedule(target, fire, "mid-seq")  # wheel by now
-            yield Timeout(target / 2 - 0.0001)
-            sim.schedule(target, fire, "late-seq")
-            yield Timeout(target)  # outlive the cohort so it fires
-
-        sim.spawn(driver())
-        sim.run()
-        return log
-
-    wheel = run(Simulator)
-    heap = run(ReferenceHeapSimulator)
-    assert wheel == heap
-    assert [tag for tag, _ in wheel] == ["early-seq", "mid-seq", "late-seq"]
-
-
 def build_cancel_heavy_plan(seed):
     """A plan where most operations arm timers and most timers die.
 
-    Exercises the SoA pool's tombstone/compaction machinery: the lazy
-    tables fill with dead handles that the wheel reaps in bulk while
-    the heap oracle reaps them one pop at a time.
+    Exercises tombstones and compaction: the heap fills with dead
+    entries that are dropped at the head or swept in bulk.
     """
     rng = random.Random(seed ^ 0x5CA1E)
     procs = []
@@ -214,8 +154,8 @@ def build_cancel_heavy_plan(seed):
 def build_zero_delay_plan(seed):
     """A plan dominated by zero-delay resumes and same-timestamp bursts.
 
-    Zero-delay events bypass the wheel (ready ring), but they interleave
-    with wheel cohorts at the same timestamp — the tie-order contract's
+    Zero-delay events bypass the heap (ready ring), but they interleave
+    with heap cohorts at the same timestamp — the tie-order contract's
     sharpest edge.
     """
     rng = random.Random(seed ^ 0x0DE1A)
@@ -237,14 +177,9 @@ def build_zero_delay_plan(seed):
     return {"procs": procs, "horizons": [], "late": [], "span": QUANTUM * 50000}
 
 
-def build_pool_recycling_plan(seed):
-    """Waves of short-lived timers so pool handles recycle constantly.
-
-    Each wave arms a batch of timers that either fire or are cancelled
-    before the next wave arms over the freed handles; a mis-recycled
-    slot (stale column data, a live handle on the free list) surfaces
-    as an order or accounting divergence from the oracle.
-    """
+def build_timer_wave_plan(seed):
+    """Waves of short-lived timers that fire or are cancelled before
+    the next wave arms."""
     rng = random.Random(seed ^ 0xF4EE)
     procs = []
     for _ in range(rng.randint(2, 4)):
@@ -252,78 +187,109 @@ def build_pool_recycling_plan(seed):
         for _ in range(rng.randint(8, 16)):
             roll = rng.random()
             if roll < 0.45:
-                # Fires soon: the slot drains and the handle recycles.
+                # Fires soon, before the next wave.
                 ops.append(("timer", QUANTUM * rng.randint(1, 8), "keep"))
             elif roll < 0.75:
                 ops.append(("timer", QUANTUM * rng.randint(1, 8),
                             rng.choice(("cancel_imm", "cancel_later"))))
             else:
-                # Step past the wave so its handles are freed.
+                # Step past the wave.
                 ops.append(("sleep", QUANTUM * rng.randint(4, 16)))
         procs.append(ops)
     return {"procs": procs, "horizons": [], "late": [], "span": QUANTUM * 50000}
 
 
+#: sha256 of the newline-joined ``repr(run_plan(Simulator, plan))`` over
+#: each suite's seeds.
+GOLDEN = {
+    "build_plan": (
+        N_CASES,
+        "7b099216da2ae7149a3cd0dbba813753c5edd0536ef0c8a2f338532df0880b03",
+    ),
+    "build_cancel_heavy_plan": (
+        120,
+        "68552f1a48441cc522143cd69e6fb5c48cf376e0a8fcb5a07d1ab801d4201d15",
+    ),
+    "build_zero_delay_plan": (
+        120,
+        "3a5c09fc665b99dc913fe76cf7ab8e9dcbcdf061a84895c7e0344af7b8a219f6",
+    ),
+    "build_timer_wave_plan": (
+        120,
+        "da6959a9aa914df1b36c1ff1187909b7bf42e08d0924f8af95d03fb193b9426d",
+    ),
+}
+
+
 @pytest.mark.parametrize("builder", [
+    build_plan,
     build_cancel_heavy_plan,
     build_zero_delay_plan,
-    build_pool_recycling_plan,
-])
-def test_biased_interleavings_match_reference_heap(builder):
-    mismatches = []
-    for seed in range(120):
-        plan = builder(seed)
-        wheel = run_plan(Simulator, plan)
-        heap = run_plan(ReferenceHeapSimulator, plan)
-        if wheel != heap:
-            mismatches.append(seed)
-    assert not mismatches, (
-        f"{builder.__name__}: diverged on seeds {mismatches[:10]} "
-        f"({len(mismatches)}/120 cases)"
-    )
+    build_timer_wave_plan,
+], ids=lambda builder: builder.__name__)
+def test_engine_order_matches_golden(builder):
+    cases, expected = GOLDEN[builder.__name__]
+    digest = hashlib.sha256()
+    for seed in range(cases):
+        digest.update(repr(run_plan(Simulator, builder(seed))).encode())
+        digest.update(b"\n")
+    assert digest.hexdigest() == expected
 
 
-@pytest.mark.parametrize("factory", [Simulator, ReferenceHeapSimulator])
-def test_stale_timer_on_recycled_pool_slot_is_noop(factory):
-    """A Timer whose pool slot was freed and re-armed by an unrelated
-    event must be inert on both engines: cancel() returns False, the
-    new occupant still fires, and the accounting never moves."""
-    sim = factory()
+def test_equal_time_cohort_scheduled_at_different_clock_times():
+    # Events at one timestamp, scheduled while the clock was at
+    # different times, fire in seq (scheduling) order.
+    sim = Simulator()
+    log = []
+    target = 0.3
+
+    def fire(tag):
+        log.append((tag, sim.now))
+
+    def driver():
+        sim.schedule(target, fire, "early-seq")
+        yield Timeout(target / 2)
+        sim.schedule(target, fire, "mid-seq")
+        yield Timeout(target / 2 - 0.0001)
+        sim.schedule(target, fire, "late-seq")
+        yield Timeout(target)  # outlive the cohort so it fires
+
+    sim.spawn(driver())
+    sim.run()
+    assert [tag for tag, _ in log] == ["early-seq", "mid-seq", "late-seq"]
+    assert {when for _, when in log} == {target}
+
+
+def test_event_exactly_on_run_until_horizon_fires_inside_epoch():
+    sim = Simulator()
     fired = []
+    sim.schedule(0.5, fired.append, "on-horizon")
+    sim.schedule(0.5000001, fired.append, "past-horizon")
+    sim.run_until(0.5)
+    assert fired == ["on-horizon"]
+    assert sim.now == 0.5
+    sim.run_until(1.0)
+    assert fired == ["on-horizon", "past-horizon"]
 
+
+def test_fired_timer_cancel_is_noop():
+    """A Timer whose event already fired is inert: cancel() returns
+    False and moves no accounting, and later timers still fire."""
+    sim = Simulator()
+    fired = []
     timer = sim.call_later(0.001, fired.append, "victim")
-    handle = timer._handle
-
-    # Fire the victim as the *last* event so its handle is the LIFO
-    # free-list head when the replacement allocates.
     sim.run_until(0.002)
     assert fired == ["victim"]
     assert not timer.active
 
-    # Recycle the exact slot with an unrelated timer.
-    replacement = sim.call_later(0.5, fired.append, "replacement")
-    assert replacement._handle == handle, "pool should recycle LIFO"
-
+    later = sim.call_later(0.5, fired.append, "later")
     pending_before = sim.pending_events
-    cancelled_before = sim._timers_cancelled
+    cancelled_before = sim.wheel_stats()["timers_cancelled"]
     assert timer.cancel() is False
     assert timer.when is None
     assert sim.pending_events == pending_before
-    assert sim._timers_cancelled == cancelled_before
-    assert replacement.active
+    assert sim.wheel_stats()["timers_cancelled"] == cancelled_before
+    assert later.active
 
     sim.run_until(1.0)
-    assert fired == ["victim", "replacement"]
-
-
-def test_event_exactly_on_run_until_horizon_fires_inside_epoch():
-    for factory in (Simulator, ReferenceHeapSimulator):
-        sim = factory()
-        fired = []
-        sim.schedule(0.5, fired.append, "on-horizon")
-        sim.schedule(0.5000001, fired.append, "past-horizon")
-        sim.run_until(0.5)
-        assert fired == ["on-horizon"]
-        assert sim.now == 0.5
-        sim.run_until(1.0)
-        assert fired == ["on-horizon", "past-horizon"]
+    assert fired == ["victim", "later"]

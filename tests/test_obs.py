@@ -63,17 +63,23 @@ def test_merge_metrics_sums_counters_and_buckets_maxes_gauges():
 def test_ingest_wheel_stats_routes_counts_vs_gauges():
     registry = MetricsRegistry()
     registry.ingest_wheel_stats({
-        "engine": "timing-wheel",          # string -> gauge
-        "buckets": 256,                    # config -> gauge
+        "engine": "heap",                  # string -> gauge
+        "timers_cancelled": 4,             # monotone -> counter
+        "cancelled_unreaped": 2,           # level -> gauge
+        "compactions": 1,                  # monotone -> counter
+        "pending_events": 9,               # level -> gauge
         "events_dispatched": 100,          # monotone -> counter
-        "spill_peak": 7,                   # peak -> gauge
     })
     snap = registry.snapshot()
-    assert snap["counters"] == {"engine/events_dispatched": 100}
+    assert snap["counters"] == {
+        "engine/timers_cancelled": 4,
+        "engine/compactions": 1,
+        "engine/events_dispatched": 100,
+    }
     assert snap["gauges"] == {
-        "engine/engine": "timing-wheel",
-        "engine/buckets": 256,
-        "engine/spill_peak": 7,
+        "engine/engine": "heap",
+        "engine/cancelled_unreaped": 2,
+        "engine/pending_events": 9,
     }
 
 

@@ -24,7 +24,6 @@ from repro.experiments.parallel import Cell, run_cell
 from repro.obs.export import to_dual_clock_trace, write_dual_clock_trace
 from repro.obs.live import LiveView, _fmt_bytes, _fmt_eta, render
 from repro.obs.runtime import (
-    MAX_PENDING_INSTANTS,
     MAX_PENDING_SPANS,
     PHASES,
     RecordBuffer,
@@ -64,19 +63,17 @@ def test_probe_lap_accumulates_and_chains():
 def test_probe_flush_is_incremental():
     probe = RuntimeProbe("worker-1", hosts=[[0, 4]])
     probe.lap("compute", probe.begin())
-    probe.instant("marker")
     probe.count("frames")
     probe.gauge("frontier_epoch", 7)
     first = probe.flush()
     assert first["ident"] == "worker-1"
     assert first["hosts"] == [[0, 4]]
     assert len(first["spans"]) == 1
-    assert [name for _rel, name in first["instants"]] == ["marker"]
     assert first["counters"] == {"frames": 1}
     assert first["gauges"] == {"frontier_epoch": 7}
-    # spans/instants drain; cumulative scalars persist
+    # spans drain; cumulative scalars persist
     second = probe.flush()
-    assert second["spans"] == [] and second["instants"] == []
+    assert second["spans"] == []
     assert second["counters"] == {"frames": 1}
     assert second["phases"]["compute"][1] == 1
 
@@ -91,9 +88,6 @@ def test_probe_span_buffer_bounded():
     assert record["dropped_spans"] == 10
     # totals stay exact even when spans drop
     assert record["phases"]["compute"][1] == MAX_PENDING_SPANS + 10
-    for _ in range(MAX_PENDING_INSTANTS + 5):
-        probe.instant("marker")
-    assert len(probe.flush()["instants"]) == MAX_PENDING_INSTANTS
 
 
 def test_wire_stats_accounting():
@@ -122,7 +116,7 @@ def _record(ident, wall0=100.0, epochs=0, **extra):
         "ident": ident, "pid": 1234, "wall0": wall0, "up_s": 1.0,
         "phases": {}, "counters": {"epochs": epochs},
         "gauges": {}, "wire": {"tx": {}, "rx": {}},
-        "spans": [], "instants": [], "dropped_spans": 0,
+        "spans": [], "dropped_spans": 0,
     }
     record.update(extra)
     return record
@@ -144,13 +138,11 @@ def test_aggregator_keeps_latest_and_accumulates_spans():
     agg.ingest([_record("worker-0", epochs=1,
                         spans=[("compute", 0.0, 0.5)])])
     agg.ingest([_record("worker-0", epochs=2,
-                        spans=[("compute", 0.5, 0.9)],
-                        instants=[(0.7, "marker")])])
+                        spans=[("compute", 0.5, 0.9)])])
     snap = agg.snapshot()
     record = snap["processes"]["worker-0"]
     assert record["counters"]["epochs"] == 2
     assert len(record["spans"]) == 2
-    assert record["instants"] == [[0.7, "marker"]]
     assert json.loads(json.dumps(snap))  # plain JSON-able
 
 
